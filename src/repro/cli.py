@@ -20,9 +20,9 @@ Subcommands::
                        --metrics-port, a live /metrics endpoint and a
                        wide-event request log
     clarify loadgen    drive the serving layer with a deterministic
-                       seeded campus/cloud intent mix; optionally check
-                       serial-vs-pooled outcome identity, SLO burn
-                       rates, and telemetry overhead
+                       seeded campus/cloud intent mix; optionally run
+                       the differential checks (serial, cache,
+                       telemetry, shard) and SLO burn rates
     clarify tail       follow a wide-event request log and print rolling
                        p50/p95 latency and error rate
 
@@ -365,8 +365,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
     workers = 1 if args.serial else args.workers
 
-    def run(worker_count: Optional[int], pool: Optional[str] = None):
-        pool = pool if pool is not None else args.pool
+    def run(worker_count: Optional[int]):
         if args.which == "campus":
             from repro.synth.campus import TOTAL_ACLS, TOTAL_ROUTE_MAPS
 
@@ -376,7 +375,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 seed=args.seed if args.seed is not None else 1421,
                 total_acls=max(1, round(TOTAL_ACLS * args.scale)),
                 route_maps=max(1, round(TOTAL_ROUTE_MAPS * args.scale)),
-                pool=pool,
             )
             return acl_stats, rm_stats
         if args.which == "cloud":
@@ -385,11 +383,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 chunks=args.chunks,
                 seed=args.seed if args.seed is not None else 2025,
                 scale=args.scale,
-                pool=pool,
             )
             return acl_stats, rm_stats
         return campaign.evaluation_campaign(
-            runs=args.runs, workers=worker_count, chunks=args.chunks, pool=pool
+            runs=args.runs, workers=worker_count, chunks=args.chunks
         ).results
 
     def render(outcome) -> None:
@@ -409,7 +406,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
     if args.benchmark:
         start = time.perf_counter()
-        serial_outcome = run(1, pool="serial")
+        serial_outcome = run(1)
         serial_elapsed = time.perf_counter() - start
         start = time.perf_counter()
         parallel_outcome = run(workers)
@@ -545,7 +542,6 @@ def cmd_netlint(args: argparse.Namespace) -> int:
         contracts=contracts,
         workers=args.workers,
         chunks=args.chunks,
-        pool=args.pool,
     )
     if args.title:
         title = args.title
@@ -763,6 +759,18 @@ def cmd_bench_check(args: argparse.Namespace) -> int:
     return 0 if report.ok and not slo_failures and not perf_failures else 2
 
 
+def _int_field(command: dict, key: str) -> int:
+    """An integer field of a JSONL command; anything else is a ValueError.
+
+    ``json`` decodes ``1e400`` as a float infinity and ``1.5`` as a
+    float, which ``int()`` would overflow on or silently truncate.
+    """
+    value = command[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _serve_router(args: argparse.Namespace) -> int:
     """``clarify serve --shards N``: the thin router over shard processes.
 
@@ -868,18 +876,17 @@ def _serve_router(args: argparse.Namespace) -> int:
                         store_root=cluster.store_root,
                     )
                 elif op == "kill-shard":
-                    cluster.kill_shard(int(command["shard"]))
-                    reply(
-                        tag, ok=True, op="kill-shard",
-                        shard=int(command["shard"]),
-                    )
+                    shard = _int_field(command, "shard")
+                    cluster.kill_shard(shard)
+                    reply(tag, ok=True, op="kill-shard", shard=shard)
                 elif op == "restart-shard":
-                    restored = cluster.restart_shard(int(command["shard"]))
+                    shard = _int_field(command, "shard")
+                    restored = cluster.restart_shard(shard)
                     reply(
                         tag,
                         ok=True,
                         op="restart-shard",
-                        shard=int(command["shard"]),
+                        shard=shard,
                         restored=restored,
                     )
                 else:
@@ -946,11 +953,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     event_log = args.event_log or os.environ.get("CLARIFY_EVENT_LOG") or None
     telemetry_on = metrics_port is not None or event_log is not None
 
-    stack = build_llm_stack(
-        backend=args.backend,
-        cache_dir=args.cache_dir,
-        batch_window_s=args.batch_window,
-    )
+    stack = build_llm_stack(backend=args.backend, cache_dir=args.cache_dir)
     store = DurableSessionStore(args.store_dir) if args.store_dir else None
     manager = SessionManager(
         llm=stack.client,
@@ -1057,11 +1060,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
                         config_sha256=managed.config_sha256(),
                     )
                 elif op == "request":
-                    seq = command.get("seq")
-                    if seq is not None:
+                    if command.get("seq") is not None:
+                        seq = _int_field(command, "seq")
                         handle = manager.get(command["session"])
                         replayed = (
-                            handle.replayed_response(int(seq))
+                            handle.replayed_response(seq)
                             if handle is not None
                             else None
                         )
@@ -1203,9 +1206,11 @@ def cmd_tail(args: argparse.Namespace) -> int:
 def cmd_loadgen(args: argparse.Namespace) -> int:
     """Run a seeded load campaign against the serving layer.
 
-    Exit status: 0 clean; 1 when any ticket never resolved, any request
-    ended in ``internal-error``, or the ``--check-serial-identity``
-    differential found a serial/pooled divergence.
+    Each ``--check`` adds the legs of one differential check
+    (:func:`repro.serve.loadgen.run_checks`); the printed report is the
+    base configuration's leg.  Exit status: 0 clean; 1 when any ticket
+    never resolved, any request ended in ``internal-error``, an SLO
+    objective is alerting, or a check failed.
     """
     import json as _json
     import os
@@ -1213,12 +1218,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 
     from repro import obs
     from repro.obs import slo as slo_mod
-    from repro.serve import (
-        check_cache_effectiveness,
-        check_serial_identity,
-        check_telemetry_overhead,
-        run_loadgen,
-    )
+    from repro.serve import run_checks
 
     slo_config = None
     if args.slo:
@@ -1228,142 +1228,31 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             print(f"error: cannot load SLO config: {exc}", file=sys.stderr)
             return 1
 
-    kwargs = dict(
-        fault_rate=args.fault_rate,
-        deadline_s=args.deadline,
-        queue_limit=args.queue_limit,
-        high_water=args.high_water,
-        max_attempts=args.max_attempts,
-        backend=args.backend,
-        batch_window_s=args.batch_window,
-        netwide=args.netwide,
-        telemetry=not args.no_telemetry,
-        event_log=args.event_log,
-        slo=slo_config,
-    )
-    failures: List[str] = []
-    serial = None
-    effectiveness = None
-    overhead = None
-    shard_identity = None
-    if args.check_shard_identity:
-        from repro.serve.shard import check_shard_identity
-
-        if args.fault_rate > 0.0 or args.deadline is not None or args.netwide:
-            print(
-                "error: --check-shard-identity requires a fault-free, "
-                "deadline-free, gate-free campaign (shard processes run "
-                "the plain serving stack, so the in-process legs must "
-                "too)",
-                file=sys.stderr,
-            )
-            return 1
-        try:
-            shard_identity = check_shard_identity(
-                args.sessions,
-                args.requests_per_session,
-                workers=args.workers,
-                seed=args.seed,
-                shards=args.shards,
-                store_root=args.store_dir,
-                max_attempts=args.max_attempts,
-                backend=args.backend,
-                telemetry=False,
-            )
-        except AssertionError as exc:
-            print(f"SHARD IDENTITY FAILED: {exc}", file=sys.stderr)
-            return 1
-    if args.check_telemetry_overhead:
-        if args.fault_rate > 0.0 or args.deadline is not None:
-            print(
-                "error: --check-telemetry-overhead requires a fault-free, "
-                "deadline-free campaign (outcomes must be identical across "
-                "the telemetry-off and telemetry-on runs)",
-                file=sys.stderr,
-            )
-            return 1
-        overhead_kwargs = {
-            k: v
-            for k, v in kwargs.items()
-            if k
-            not in ("fault_rate", "deadline_s", "telemetry", "event_log", "slo")
-        }
-        try:
-            overhead = check_telemetry_overhead(
-                args.sessions,
-                args.requests_per_session,
-                workers=args.workers,
-                seed=args.seed,
-                repeats=args.overhead_repeats,
-                bound=args.overhead_bound,
-                cache_dir=args.cache_dir,
-                **overhead_kwargs,
-            )
-        except AssertionError as exc:
-            print(f"TELEMETRY OVERHEAD FAILED: {exc}", file=sys.stderr)
-            return 1
-        if not overhead.ok:
-            failures.append(
-                f"telemetry overhead {overhead.ratio:.3f}x exceeds "
-                f"bound {overhead.bound:g}x"
-            )
-    if args.check_cache_effectiveness:
-        if args.fault_rate > 0.0 or args.deadline is not None:
-            print(
-                "error: --check-cache-effectiveness requires a fault-free, "
-                "deadline-free campaign (chaos bypasses the cache and "
-                "deadlines are schedule-dependent)",
-                file=sys.stderr,
-            )
-            return 1
-        cache_dir = args.cache_dir or tempfile.mkdtemp(prefix="clarify-cache-")
-        try:
-            effectiveness = check_cache_effectiveness(
-                args.sessions,
-                args.requests_per_session,
-                workers=args.workers,
-                seed=args.seed,
-                cache_dir=cache_dir,
-                **kwargs,
-            )
-        except AssertionError as exc:
-            print(f"CACHE EFFECTIVENESS FAILED: {exc}", file=sys.stderr)
-            return 1
-    if args.check_serial_identity:
-        if args.fault_rate > 0.0 or args.deadline is not None:
-            print(
-                "error: --check-serial-identity requires a fault-free, "
-                "deadline-free campaign (fault placement and deadlines "
-                "are schedule-dependent)",
-                file=sys.stderr,
-            )
-            return 1
-        try:
-            serial, report = check_serial_identity(
-                args.sessions,
-                args.requests_per_session,
-                workers=args.workers,
-                seed=args.seed,
-                cache_dir=args.cache_dir,
-                **kwargs,
-            )
-        except AssertionError as exc:
-            print(f"IDENTITY FAILED: {exc}", file=sys.stderr)
-            return 1
-    elif effectiveness is not None:
-        report = effectiveness.warm
-    elif shard_identity is not None:
-        report = shard_identity.pooled
-    else:
-        report = run_loadgen(
+    try:
+        run = run_checks(
+            args.check or (),
             args.sessions,
             args.requests_per_session,
             workers=args.workers,
             seed=args.seed,
+            telemetry=not args.no_telemetry,
             cache_dir=args.cache_dir,
-            **kwargs,
+            store_root=args.store_dir,
+            max_attempts=args.max_attempts,
+            backend=args.backend,
+            fault_rate=args.fault_rate,
+            deadline_s=args.deadline,
+            queue_limit=args.queue_limit,
+            high_water=args.high_water,
+            netwide=args.netwide,
+            event_log=args.event_log,
+            slo=slo_config,
         )
-
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    report = run.report
+    failures = run.failures
     if report.unresolved:
         failures.append(f"{report.unresolved} request(s) never resolved")
     internal = report.outcomes.get("internal-error", 0)
@@ -1379,22 +1268,15 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         )
 
     # schema_version 2 added the meta run-metadata block and the
-    # telemetry/slo/overhead sections; "version" kept for old tooling.
+    # telemetry/slo sections; 3 replaced the per-check sections with
+    # the legs block.  "version" is kept for old tooling.
     payload = {
-        "schema_version": 2,
-        "version": 2,
+        "schema_version": 3,
+        "version": 3,
         "meta": obs.run_metadata(),
         "loadgen": report.to_dict(),
+        "legs": run.to_dict(),
     }
-    if serial is not None:
-        payload["serial"] = serial.to_dict()
-        payload["identity"] = serial.fingerprint == report.fingerprint
-    if shard_identity is not None:
-        payload["shard"] = shard_identity.to_dict()
-    if effectiveness is not None:
-        payload["cache_effectiveness"] = effectiveness.to_dict()
-    if overhead is not None:
-        payload["telemetry_overhead"] = overhead.to_dict()
     if args.output:
         directory = os.path.dirname(args.output) or "."
         os.makedirs(directory, exist_ok=True)
@@ -1413,7 +1295,8 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     else:
         print(
             f"loadgen: {report.requests} requests over {report.sessions} "
-            f"sessions, {report.workers} workers, seed {report.seed}"
+            f"sessions, {report.workers} workers, seed {report.seed} "
+            f"({run.campaigns} campaign(s))"
         )
         print(
             f"  wall {report.wall_s:.2f}s  "
@@ -1433,25 +1316,9 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         )
         if report.netwide:
             print(f"  netwide {report.netwide}")
-        if serial is not None:
-            print(f"  serial identity OK ({report.fingerprint[:16]}…)")
-        if shard_identity is not None:
-            chaos = shard_identity.chaos
-            print(
-                f"  shard identity OK: serial = pooled = "
-                f"{chaos.shards}-shard = chaos "
-                f"({report.fingerprint[:16]}…); chaos leg restarted "
-                f"{chaos.restarts} shard(s), restored "
-                f"{chaos.restored_sessions} session(s)"
-            )
-        if effectiveness is not None:
-            eff = effectiveness.to_dict()
-            print(
-                "  cache effectiveness OK: upstream calls "
-                f"{eff['uncached_upstream_calls']} uncached → "
-                f"{eff['cold_upstream_calls']} cold → "
-                f"{eff['warm_upstream_calls']} warm"
-            )
+        for name, result in run.checks.items():
+            status = "OK" if result.ok else "FAILED"
+            print(f"  check {name} {status}: {result.summary}")
         if report.telemetry.get("enabled"):
             coverage = report.telemetry.get("trace_coverage", {})
             print(
@@ -1466,13 +1333,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
                     else "ok"
                 )
                 print(f"  slo: {verdict}")
-        if overhead is not None:
-            print(
-                f"  telemetry overhead {'OK' if overhead.ok else 'FAILED'}: "
-                f"p50 {overhead.p50_off_s * 1000:.1f}ms off → "
-                f"{overhead.p50_on_s * 1000:.1f}ms on "
-                f"({overhead.ratio:.3f}x, bound {overhead.bound:g}x)"
-            )
     for failure in failures:
         print(f"LOADGEN FAILED: {failure}", file=sys.stderr)
     return 1 if failures else 0
@@ -1630,15 +1490,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="force the in-process serial fallback (workers=1)",
     )
-    p_campaign.add_argument(
-        "--pool",
-        choices=("auto", "persistent", "spawn", "serial"),
-        default=None,
-        help="worker-pool engine: 'persistent' reuses fork-warm workers "
-        "across campaigns, 'spawn' builds a fresh pool per campaign, "
-        "'serial' runs in process, 'auto' picks per machine (default: "
-        "the REPRO_POOL environment variable, else auto)",
-    )
     p_campaign.add_argument("--seed", type=int, default=None)
     p_campaign.add_argument("--scale", type=float, default=1.0)
     p_campaign.add_argument(
@@ -1760,14 +1611,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="chunk count for the pool (default: calibrated)",
-    )
-    p_netlint.add_argument(
-        "--pool",
-        choices=("auto", "persistent", "spawn", "serial"),
-        default=None,
-        help="worker-pool engine for --workers > 1 (see 'clarify "
-        "campaign --pool'; default: the REPRO_POOL environment "
-        "variable, else auto)",
     )
     p_netlint.add_argument(
         "--format",
@@ -1945,14 +1788,6 @@ def build_parser() -> argparse.ArgumentParser:
         "responses across runs)",
     )
     p_serve.add_argument(
-        "--batch-window",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="micro-batch concurrent LLM calls behind a flush window "
-        "(default: off)",
-    )
-    p_serve.add_argument(
         "--metrics-port",
         type=int,
         default=None,
@@ -2037,6 +1872,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tail.set_defaults(func=cmd_tail)
 
+    from repro.serve.loadgen import (
+        CHECKS,
+        SHARDS,
+        TELEMETRY_BOUND,
+        TELEMETRY_PAIRS,
+    )
+
     p_loadgen = sub.add_parser(
         "loadgen",
         help="drive the serving layer with a deterministic seeded "
@@ -2101,14 +1943,6 @@ def build_parser() -> argparse.ArgumentParser:
         "responses across runs)",
     )
     p_loadgen.add_argument(
-        "--batch-window",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="micro-batch concurrent LLM calls behind a flush window "
-        "(default: off)",
-    )
-    p_loadgen.add_argument(
         "--netwide",
         action="store_true",
         help="attach the network-wide advisory gate to every session "
@@ -2116,38 +1950,23 @@ def build_parser() -> argparse.ArgumentParser:
         "report the netwide.* conflict counters as a quality axis",
     )
     p_loadgen.add_argument(
-        "--check-serial-identity",
-        action="store_true",
-        help="also run the campaign with one worker and fail unless the "
-        "pooled run's per-session outcomes match byte for byte",
-    )
-    p_loadgen.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        metavar="N",
-        help="shard processes for --check-shard-identity (default: 2)",
+        "--check",
+        action="append",
+        choices=CHECKS,
+        help="also run the legs of a differential check (repeatable): "
+        "serial = 1 vs --workers workers; cache = uncached, cold and warm "
+        "response cache (in --cache-dir or a fresh temp directory) with "
+        f"falling upstream calls; telemetry = {TELEMETRY_PAIRS} off/on "
+        f"pairs within a {TELEMETRY_BOUND:g}x p50 ratio; shard = serial, "
+        f"pooled, {SHARDS} shard processes, and {SHARDS} shards with one "
+        "SIGKILLed and restored.  Every leg's outcome fingerprint must "
+        "match",
     )
     p_loadgen.add_argument(
         "--store-dir",
         metavar="DIR",
-        help="root directory for the sharded legs' durable session "
+        help="root directory for the shard check's durable session "
         "stores (default: a fresh temp directory)",
-    )
-    p_loadgen.add_argument(
-        "--check-shard-identity",
-        action="store_true",
-        help="run the campaign serial, pooled, sharded across --shards "
-        "processes, and sharded with one shard SIGKILLed and restored "
-        "mid-campaign; fail unless all four outcome fingerprints are "
-        "byte-identical",
-    )
-    p_loadgen.add_argument(
-        "--check-cache-effectiveness",
-        action="store_true",
-        help="run the campaign uncached, cold-cache, and warm-cache and "
-        "fail unless outcomes are identical while upstream LLM calls "
-        "drop (uses --cache-dir or a fresh temp directory)",
     )
     p_loadgen.add_argument(
         "--no-telemetry",
@@ -2165,29 +1984,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="evaluate burn rates against the SLO config at PATH instead "
         "of the built-in default objectives",
-    )
-    p_loadgen.add_argument(
-        "--check-telemetry-overhead",
-        action="store_true",
-        help="also run interleaved telemetry-off/on campaigns and fail "
-        "when the telemetry-on p50 exceeds the off p50 by more than "
-        "--overhead-bound (outcomes must stay byte-identical)",
-    )
-    p_loadgen.add_argument(
-        "--overhead-bound",
-        type=float,
-        default=1.05,
-        metavar="RATIO",
-        help="maximum allowed telemetry-on/off p50 ratio "
-        "(default: %(default)s)",
-    )
-    p_loadgen.add_argument(
-        "--overhead-repeats",
-        type=int,
-        default=3,
-        metavar="N",
-        help="off/on campaign pairs to run for the overhead check; the "
-        "minimum p50 per mode is compared (default: %(default)s)",
     )
     p_loadgen.add_argument(
         "--output",

@@ -76,12 +76,11 @@ class NetwideAnalyzer:
         contracts: Sequence[Contract] = (),
         workers: Optional[int] = None,
         chunks: Optional[int] = None,
-        pool: Optional[str] = None,
     ) -> LintReport:
         """Run every layer over ``devices`` and return the normalized report.
 
         ``workers > 1`` fans uncached path analyses across the campaign
-        process pool (``chunks`` and ``pool`` as in
+        process pool (``chunks`` as in
         :func:`repro.perf.campaign.run_campaign`); the serial default
         produces an identical report.
         """
@@ -92,9 +91,7 @@ class NetwideAnalyzer:
             if capable:
                 topo = build_topology(devices)
                 findings.extend(
-                    self._analyze_paths(
-                        topo, devices, fps, workers, chunks, pool
-                    )
+                    self._analyze_paths(topo, devices, fps, workers, chunks)
                 )
                 findings.extend(analyze_route_propagation(topo, fps))
                 if contracts:
@@ -126,7 +123,6 @@ class NetwideAnalyzer:
         fps: Dict[str, str],
         workers: Optional[int],
         chunks: Optional[int],
-        pool: Optional[str],
     ) -> List[Diagnostic]:
         paths = extract_paths(topo)
         obs.count("netwide.paths", len(paths))
@@ -153,7 +149,6 @@ class NetwideAnalyzer:
                     devices,
                     workers=workers,
                     chunks=chunks,
-                    pool=pool,
                 )
                 computed = list(outcome.results)
             else:
@@ -210,11 +205,10 @@ def analyze_network(
     contracts: Sequence[Contract] = (),
     workers: Optional[int] = None,
     chunks: Optional[int] = None,
-    pool: Optional[str] = None,
 ) -> LintReport:
     """One-shot convenience: a fresh :class:`NetwideAnalyzer` run once."""
     return NetwideAnalyzer().analyze(
-        devices, contracts=contracts, workers=workers, chunks=chunks, pool=pool
+        devices, contracts=contracts, workers=workers, chunks=chunks
     )
 
 

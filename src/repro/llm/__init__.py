@@ -31,13 +31,10 @@ backends:
   (``remote → simulated``) with per-backend health/latency counters, and
   :func:`~repro.llm.router.build_backend` to construct a stack from a
   ``--backend`` spec string;
-* :class:`~repro.llm.batching.BatchingClient` — optional micro-batching
-  of concurrent distinct prompts behind a flush window;
 * :mod:`~repro.llm.errors` — the retryable/terminal backend error
   taxonomy the retry loop and router dispatch on.
 """
 
-from repro.llm.batching import BatchingClient
 from repro.llm.client import LLMClient
 from repro.llm.dedup import DedupClient
 from repro.llm.errors import (
@@ -68,7 +65,6 @@ __all__ = [
     "AclIntent",
     "BackendError",
     "BackendRouter",
-    "BatchingClient",
     "CachedClient",
     "CallRecord",
     "DEFAULT_MAX_RECORDS",

@@ -19,19 +19,18 @@ the output *indistinguishable from a serial run*:
 Parallel chunks run on the **persistent pool**
 (:mod:`repro.perf.pool`): workers forked once from the warm parent and
 reused across campaign calls, so repeat campaigns stop paying process
-spawn and cold imports.  Only per-chunk *mutable* state (memo-table
+start-up and cold imports.  Only per-chunk *mutable* state (memo-table
 entries, hit/miss tallies) is cleared between chunks; the fork-inherited
 module graph and the interner's canonical module-level constants stay
-warm.  The ``pool`` argument (or ``REPRO_POOL``) picks the engine:
+warm.  The ``pool`` argument picks the engine:
 
 ``auto`` (default)
     persistent pool when the host has >1 CPU and ``fork`` exists;
     otherwise in-process (on a single core, serial *is* the optimum).
 ``persistent``
-    always the persistent pool (the identity tests force this to
-    exercise real worker processes even on one core).
-``spawn``
-    the legacy per-campaign ``ProcessPoolExecutor``.
+    the persistent pool whenever ``fork`` exists (the identity tests
+    force this to exercise real worker processes even on one core);
+    in-process otherwise.
 ``serial``
     in-process, single logical worker.
 
@@ -62,7 +61,6 @@ import dataclasses
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import (
     Any,
     Callable,
@@ -192,13 +190,6 @@ def _run_chunk(
     return results, dict(recorder.counters)
 
 
-def _run_chunk_task(
-    task: Tuple[str, Sequence[Any], Any, Optional[TraceContext]]
-) -> Tuple[List[Any], Dict[str, Number]]:
-    kind, payloads, context, trace = task
-    return _run_chunk(kind, payloads, context, trace)
-
-
 # ---------------------------------------------------------------- running
 
 
@@ -222,8 +213,8 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-#: Valid ``pool=`` / ``REPRO_POOL`` engine names.
-POOL_MODES = ("auto", "persistent", "spawn", "serial")
+#: Valid ``pool=`` engine names.
+POOL_MODES = ("auto", "persistent", "serial")
 
 #: Calibration pass: time this many leading payloads as real chunk 0...
 _PROBE_ITEMS = 4
@@ -237,9 +228,8 @@ _MAX_CHUNKS_PER_WORKER = 16
 
 
 def resolve_pool_mode(pool: Optional[str] = None) -> str:
-    """The campaign engine: ``pool`` argument, else ``REPRO_POOL``, else auto."""
-    mode = pool if pool is not None else os.environ.get("REPRO_POOL", "")
-    mode = mode.strip() or "auto"
+    """The campaign engine: the ``pool`` argument, else ``auto``."""
+    mode = pool or "auto"
     if mode not in POOL_MODES:
         raise ValueError(
             f"unknown pool mode {mode!r}; known: {', '.join(POOL_MODES)}"
@@ -248,17 +238,13 @@ def resolve_pool_mode(pool: Optional[str] = None) -> str:
 
 
 def _choose_engine(mode: str, worker_count: int) -> str:
-    """Pick the execution engine (``inline``/``persistent``/``spawn``)."""
-    if mode == "serial" or worker_count == 1:
+    """Pick the execution engine (``inline`` or ``persistent``)."""
+    if mode == "serial" or worker_count == 1 or not _pool.fork_available():
         return "inline"
-    if mode == "spawn":
-        return "spawn"
     if mode == "persistent":
-        return "persistent" if _pool.fork_available() else "spawn"
-    # auto: real processes only help with real parallel hardware.
-    if _pool.fork_available() and (os.cpu_count() or 1) > 1:
         return "persistent"
-    return "inline"
+    # auto: real processes only help with real parallel hardware.
+    return "persistent" if (os.cpu_count() or 1) > 1 else "inline"
 
 
 def _calibrated_rest_chunks(
@@ -328,10 +314,10 @@ def run_campaign(
     partition on the persistent pool (worker count elsewhere) — fix
     *both* when counters must be reproducible across machines, as the
     benchmark suite does.  ``context`` is pickled once per worker per
-    campaign on the persistent pool (once per chunk on ``spawn``) and
-    passed to every task (e.g. the :class:`ConfigStore` route-map guards
-    resolve against).  ``pool`` picks the engine (see the module
-    docstring); it defaults to ``REPRO_POOL`` or ``auto``.
+    campaign on the persistent pool and passed to every task (e.g. the
+    :class:`ConfigStore` route-map guards resolve against).  ``pool``
+    picks the engine (see the module docstring); it defaults to
+    ``auto``.
     """
     if kind not in _TASKS:
         raise ValueError(
@@ -370,17 +356,13 @@ def run_campaign(
         chunk_payloads = [
             items[lo:hi] for lo, hi in _chunk_bounds(len(items), chunk_count)
         ]
-        tasks = [(kind, chunk, context, trace) for chunk in chunk_payloads]
-        if engine == "spawn" and len(chunk_payloads) > 1:
-            with ProcessPoolExecutor(max_workers=worker_count) as executor:
-                outcomes = list(executor.map(_run_chunk_task, tasks))
-            republish_trace = trace
-        else:
-            outcomes = [_run_chunk_task(task) for task in tasks]
-            # In-process chunks already ran under the trace, so the hub
-            # saw every delta as it happened; re-publishing below must
-            # therefore stay trace-free or wide events would double-count.
-            republish_trace = None
+        outcomes = [
+            _run_chunk(kind, chunk, context, trace) for chunk in chunk_payloads
+        ]
+        # In-process chunks already ran under the trace, so the hub saw
+        # every delta as it happened; re-publishing below must therefore
+        # stay trace-free or wide events would double-count.
+        republish_trace = None
 
     results: List[Any] = []
     merged: Dict[str, Number] = {}

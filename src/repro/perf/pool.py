@@ -1,9 +1,9 @@
 """A persistent fork-once worker pool for analysis campaigns.
 
-``repro.perf.campaign`` historically built a fresh
-``ProcessPoolExecutor`` per campaign, so every campaign paid process
-spawn plus a cold import graph in each worker.  This module keeps a
-small set of **forked** workers alive across campaign calls:
+A campaign that started its own worker processes would pay process
+start-up plus a cold import graph in each worker on every call.  This
+module keeps a small set of **forked** workers alive across campaign
+calls:
 
 * workers are forked once from the fully-imported parent, so they
   inherit the warm module graph — compiled bytecode, the interner's

@@ -28,23 +28,21 @@ is that serving layer (architecture in ``docs/SERVING.md``):
 
 The layer's core invariant: a serial run (one worker) and a pooled run
 of the same seeded workload produce **identical per-session outcomes** —
-concurrency changes latency, never results.  ``clarify loadgen
---check-serial-identity`` asserts this end to end, and ``clarify
-loadgen --check-shard-identity`` extends it across process boundaries
-and a mid-campaign shard kill; CI runs both on every push.
+concurrency changes latency, never results.  ``clarify loadgen --check
+serial`` asserts this end to end, and ``--check shard`` extends it
+across process boundaries and a mid-campaign shard kill
+(:func:`~repro.serve.loadgen.run_checks`); CI runs both on every push.
 """
 
 from repro.serve.loadgen import (
-    CacheEffectiveness,
+    CheckResult,
+    ChecksRun,
     LLMStack,
     LoadgenReport,
     SessionSpec,
-    TelemetryOverhead,
     build_llm_stack,
-    check_cache_effectiveness,
-    check_serial_identity,
-    check_telemetry_overhead,
     generate_workload,
+    run_checks,
     run_loadgen,
 )
 from repro.serve.service import (
@@ -59,8 +57,6 @@ from repro.serve.shard import (
     HashRing,
     ShardCampaignReport,
     ShardedCluster,
-    ShardIdentity,
-    check_shard_identity,
     run_sharded_loadgen,
 )
 from repro.serve.store import (
@@ -75,7 +71,8 @@ from repro.serve.store import (
 
 __all__ = [
     "AdmissionError",
-    "CacheEffectiveness",
+    "CheckResult",
+    "ChecksRun",
     "ClarifyService",
     "DurableSessionStore",
     "HashRing",
@@ -92,17 +89,12 @@ __all__ = [
     "SessionSnapshot",
     "SessionStore",
     "ShardCampaignReport",
-    "ShardIdentity",
     "ShardedCluster",
-    "TelemetryOverhead",
     "Ticket",
     "build_llm_stack",
-    "check_cache_effectiveness",
-    "check_serial_identity",
-    "check_shard_identity",
-    "check_telemetry_overhead",
     "generate_workload",
     "rebuild_session",
+    "run_checks",
     "run_loadgen",
     "run_sharded_loadgen",
 ]

@@ -11,10 +11,11 @@ intents — exercising the :class:`~repro.llm.dedup.DedupClient`
 in-flight coalescing path under real concurrency.
 
 Everything about the workload is a pure function of ``seed``, which is
-what makes the serial-vs-pooled differential check meaningful: run the
-same campaign with one worker and with N workers, fingerprint the
-schedule-independent outcome fields, and the fingerprints must match
-byte for byte (:func:`check_serial_identity`).
+what makes the differential checks meaningful: run the same campaign
+in several configurations (one worker and N workers, uncached and
+cached, telemetry off and on, sharded and killed-and-restored),
+fingerprint the schedule-independent outcome fields, and the
+fingerprints must match byte for byte (:func:`run_checks`).
 
 With ``fault_rate > 0`` the upstream LLM is wrapped in a
 :class:`~repro.llm.faulty.FaultyLLM` chaos layer.  Fault placement then
@@ -29,14 +30,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import tempfile
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.disambiguator import DisambiguationMode
-from repro.llm.batching import BatchingClient
 from repro.llm.client import LLMClient
 from repro.llm.dedup import DedupClient
 from repro.llm.faulty import FaultyLLM
@@ -170,9 +172,9 @@ def generate_workload(
 class _CountingClient:
     """Counts completions that truly reach the backend.
 
-    The dedup/cache/batch layers each report their own savings; this
-    innermost wrapper is the ground truth the cache-effectiveness gate
-    compares — how many calls the real (metered, billed) backend served.
+    The dedup/cache layers each report their own savings; this
+    innermost wrapper is the ground truth the cache check compares —
+    how many calls the real (metered, billed) backend served.
     """
 
     def __init__(self, inner: LLMClient) -> None:
@@ -198,8 +200,8 @@ class LLMStack:
 
     Layering, outermost first (see ``docs/LLM_BACKENDS.md``)::
 
-        DedupClient → BatchingClient? → CachedClient? → FaultyLLM?
-                    → counter → backend (simulated / remote / router)
+        DedupClient → CachedClient? → FaultyLLM? → counter
+                    → backend (simulated / remote / router)
 
     ``client`` is what sessions share; the other fields expose each
     layer's counters for the campaign report.
@@ -210,7 +212,6 @@ class LLMStack:
     counting: _CountingClient
     faulty: Optional[FaultyLLM]
     cached: Optional[CachedClient]
-    batcher: Optional[BatchingClient]
     router: Optional[BackendRouter]
 
     @property
@@ -222,7 +223,6 @@ class LLMStack:
 def build_llm_stack(
     backend: str = "simulated",
     cache_dir: Optional[str] = None,
-    batch_window_s: Optional[float] = None,
     fault_rate: float = 0.0,
     seed: int = 0,
     llm_factory: Optional[Callable[[], LLMClient]] = None,
@@ -253,17 +253,12 @@ def build_llm_stack(
     if cache_dir is not None:
         cached = CachedClient(upstream, ResponseCache(cache_dir))
         upstream = cached
-    batcher: Optional[BatchingClient] = None
-    if batch_window_s is not None:
-        batcher = BatchingClient(upstream, flush_window_s=batch_window_s)
-        upstream = batcher
     return LLMStack(
         client=DedupClient(upstream),
         backend=backend if llm_factory is None else "custom",
         counting=counting,
         faulty=faulty,
         cached=cached,
-        batcher=batcher,
         router=router,
     )
 
@@ -292,7 +287,6 @@ class LoadgenReport:
     #: Completions that truly reached the backend (the billed calls).
     upstream_llm_calls: int = 0
     cache: Dict[str, int] = dataclasses.field(default_factory=dict)
-    batch: Dict[str, int] = dataclasses.field(default_factory=dict)
     #: Network-wide quality axis (``--netwide``): gate checks run, gate
     #: warnings raised, and the ``netwide.*`` analyzer counters.
     netwide: Dict[str, float] = dataclasses.field(default_factory=dict)
@@ -363,7 +357,6 @@ def run_loadgen(
     llm_factory: Optional[Callable[[], LLMClient]] = None,
     backend: str = "simulated",
     cache_dir: Optional[str] = None,
-    batch_window_s: Optional[float] = None,
     netwide: bool = False,
     telemetry: bool = True,
     event_log: Optional[str] = None,
@@ -376,9 +369,8 @@ def run_loadgen(
     work runs, never *whether* it runs — a prerequisite for the
     serial-vs-pooled identity check.
 
-    ``backend`` is a :func:`repro.llm.router.build_backend` spec,
-    ``cache_dir`` enables the durable response cache, and
-    ``batch_window_s`` enables micro-batching (see
+    ``backend`` is a :func:`repro.llm.router.build_backend` spec and
+    ``cache_dir`` enables the durable response cache (see
     :func:`build_llm_stack` for the layering).  ``netwide`` attaches a
     per-session :class:`~repro.lint.netwide.gate.NetwideGate` (each
     session's edits embedded onto the seeded demo topology's EDGE
@@ -397,7 +389,6 @@ def run_loadgen(
     stack = build_llm_stack(
         backend=backend,
         cache_dir=cache_dir,
-        batch_window_s=batch_window_s,
         fault_rate=fault_rate,
         seed=seed,
         llm_factory=llm_factory,
@@ -508,7 +499,6 @@ def run_loadgen(
         backend=stack.backend,
         upstream_llm_calls=stack.upstream_calls,
         cache=stack.cached.stats() if stack.cached is not None else {},
-        batch=stack.batcher.stats() if stack.batcher is not None else {},
         netwide={
             name: value
             for name, value in sorted(recorder.counters.items())
@@ -518,241 +508,314 @@ def run_loadgen(
     )
 
 
-def check_serial_identity(
-    sessions: int,
-    requests_per_session: int,
-    workers: int,
-    seed: int,
-    **kwargs: Any,
-) -> Tuple[LoadgenReport, LoadgenReport]:
-    """Run the campaign serially and pooled; raise if outcomes diverge.
+# ------------------------------------------------------------- the checks
 
-    Fault injection and deadlines are schedule-dependent by nature, so
-    the identity check always runs fault-free and deadline-free.
+#: The differential checks :func:`run_checks` knows, in run order.  The
+#: cache check goes first: its cold leg may share ``cache_dir`` with
+#: the other checks' legs and must run before any of them fills it.
+CHECKS = ("cache", "serial", "telemetry", "shard")
+
+#: Telemetry check: interleaved off/on campaign pairs, and the bound on
+#: the best telemetry-on p50 over the best telemetry-off p50.
+TELEMETRY_PAIRS = 3
+TELEMETRY_BOUND = 1.05
+
+#: Shard processes in the shard check's sharded legs.
+SHARDS = 2
+
+
+@dataclasses.dataclass(frozen=True)
+class Leg:
+    """One configuration of the seeded campaign.
+
+    Equal legs are the same campaign, so :func:`run_checks` runs each
+    distinct leg once however many checks name it.  ``repeat`` tells
+    apart the runs that must repeat one configuration: the warm-cache
+    run and the telemetry timing pairs.  With ``shards`` the campaign
+    runs on a :class:`~repro.serve.shard.ShardedCluster` instead, and
+    ``chaos`` SIGKILLs one shard mid-campaign and restores it.
     """
-    serial = run_loadgen(
-        sessions, requests_per_session, workers=1, seed=seed, **kwargs
-    )
-    pooled = run_loadgen(
-        sessions, requests_per_session, workers=workers, seed=seed, **kwargs
-    )
-    if serial.fingerprint != pooled.fingerprint:
-        raise AssertionError(
-            "serial and pooled runs diverged: "
-            f"{serial.fingerprint} != {pooled.fingerprint} "
-            f"(serial outcomes {serial.outcomes}, "
-            f"pooled outcomes {pooled.outcomes})"
-        )
-    return serial, pooled
+
+    workers: int
+    telemetry: bool
+    cache_dir: Optional[str] = None
+    shards: int = 0
+    chaos: bool = False
+    repeat: int = 0
 
 
 @dataclasses.dataclass
-class CacheEffectiveness:
-    """The cached-vs-uncached differential: same outcomes, fewer calls.
+class CheckResult:
+    """One check's verdict over its named legs."""
 
-    Three runs of the identical seeded campaign: ``uncached`` (no durable
-    cache), ``cold`` (fresh cache directory — repeats *within* the run
-    hit), and ``warm`` (same directory again — every prompt hits).  The
-    gate holds when all three fingerprints are byte-identical and the
-    upstream call count strictly drops at each stage.
-    """
-
-    uncached: LoadgenReport
-    cold: LoadgenReport
-    warm: LoadgenReport
-
-    @property
-    def identical(self) -> bool:
-        """True when every run produced byte-identical outcomes."""
-        return (
-            self.uncached.fingerprint
-            == self.cold.fingerprint
-            == self.warm.fingerprint
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The before/after call counts BENCH_serve.json records."""
-        return {
-            "identical_outcomes": self.identical,
-            "requests": self.uncached.requests,
-            "uncached_upstream_calls": self.uncached.upstream_llm_calls,
-            "cold_upstream_calls": self.cold.upstream_llm_calls,
-            "warm_upstream_calls": self.warm.upstream_llm_calls,
-            "cold_cache": self.cold.cache,
-            "warm_cache": self.warm.cache,
-            "fingerprint": self.uncached.fingerprint,
-        }
-
-
-def check_cache_effectiveness(
-    sessions: int,
-    requests_per_session: int,
-    workers: int,
-    seed: int,
-    cache_dir: str,
-    **kwargs: Any,
-) -> CacheEffectiveness:
-    """Run the cached-vs-uncached differential gate; raise on violation.
-
-    Requires a fault-free, deadline-free campaign (chaos bypasses the
-    cache by design, and both chaos and deadlines make outcomes
-    schedule-dependent).  Asserts that (1) the uncached, cold-cache, and
-    warm-cache runs produce byte-identical per-session outcomes and
-    (2) the warm run reaches the backend strictly less than the cold
-    run, which reaches it no more than the uncached run.
-    """
-    if kwargs.get("fault_rate") or kwargs.get("deadline_s") is not None:
-        raise ValueError(
-            "cache effectiveness requires a fault-free, deadline-free "
-            "campaign"
-        )
-    uncached = run_loadgen(
-        sessions, requests_per_session, workers=workers, seed=seed, **kwargs
-    )
-    cold = run_loadgen(
-        sessions,
-        requests_per_session,
-        workers=workers,
-        seed=seed,
-        cache_dir=cache_dir,
-        **kwargs,
-    )
-    warm = run_loadgen(
-        sessions,
-        requests_per_session,
-        workers=workers,
-        seed=seed,
-        cache_dir=cache_dir,
-        **kwargs,
-    )
-    result = CacheEffectiveness(uncached=uncached, cold=cold, warm=warm)
-    if not result.identical:
-        raise AssertionError(
-            "cached and uncached runs diverged: "
-            f"uncached {uncached.fingerprint} / cold {cold.fingerprint} / "
-            f"warm {warm.fingerprint}"
-        )
-    if cold.upstream_llm_calls > uncached.upstream_llm_calls:
-        raise AssertionError(
-            f"cold cache increased upstream calls: "
-            f"{cold.upstream_llm_calls} > {uncached.upstream_llm_calls}"
-        )
-    if warm.upstream_llm_calls >= cold.upstream_llm_calls:
-        raise AssertionError(
-            f"warm cache did not reduce upstream calls: "
-            f"{warm.upstream_llm_calls} >= {cold.upstream_llm_calls}"
-        )
-    return result
-
-
-@dataclasses.dataclass
-class TelemetryOverhead:
-    """The telemetry-on vs telemetry-off differential.
-
-    ``repeats`` interleaved pairs of the identical seeded campaign, one
-    with the hub installed and one without; the compared p50 is the
-    **minimum** across repeats per mode (the least-noisy estimate of the
-    achievable latency), and every run must produce the same identity
-    fingerprint — telemetry that changed outcomes would be a bug, not an
-    overhead.
-    """
-
-    p50_off_s: float
-    p50_on_s: float
-    ratio: float
-    bound: float
-    repeats: int
-    fingerprint: str
+    #: Leg name → that leg's report, in plan order; the first leg is
+    #: the fingerprint reference.  Sharded legs hold a
+    #: :class:`~repro.serve.shard.ShardCampaignReport`.
+    legs: Dict[str, Any]
+    failures: List[str]
+    summary: str
 
     @property
     def ok(self) -> bool:
-        """True when the measured p50 regression is within ``bound``."""
-        return self.ratio <= self.bound
+        """True when every leg matched the first and the predicate held."""
+        return not self.failures
 
     def to_dict(self) -> Dict[str, Any]:
-        data = dataclasses.asdict(self)
-        data["ok"] = self.ok
-        return data
+        """The check as a JSON-serialisable dict, legs in full."""
+        return {
+            "ok": self.ok,
+            "failures": list(self.failures),
+            "summary": self.summary,
+            "legs": {name: leg.to_dict() for name, leg in self.legs.items()},
+        }
 
 
-def check_telemetry_overhead(
-    sessions: int,
-    requests_per_session: int,
-    workers: int,
-    seed: int,
-    repeats: int = 3,
-    bound: float = 1.05,
-    **kwargs: Any,
-) -> TelemetryOverhead:
-    """Measure the hub's p50 latency cost; raise if outcomes diverge.
+@dataclasses.dataclass
+class ChecksRun:
+    """What :func:`run_checks` did: the main report and each verdict."""
 
-    Requires a fault-free, deadline-free campaign (otherwise outcomes
-    are schedule-dependent and the fingerprint cross-check is vacuous).
-    The returned report says whether the ``bound`` held; the caller
-    (``clarify loadgen --check-telemetry-overhead``) turns that into an
-    exit code.
-    """
-    if kwargs.get("fault_rate") or kwargs.get("deadline_s") is not None:
-        raise ValueError(
-            "telemetry overhead requires a fault-free, deadline-free "
-            "campaign"
-        )
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    p50_off: List[float] = []
-    p50_on: List[float] = []
-    fingerprints = set()
-    for _ in range(repeats):
-        off = run_loadgen(
-            sessions,
-            requests_per_session,
-            workers=workers,
-            seed=seed,
-            telemetry=False,
-            **kwargs,
-        )
-        on = run_loadgen(
-            sessions,
-            requests_per_session,
-            workers=workers,
-            seed=seed,
-            telemetry=True,
-            **kwargs,
-        )
-        p50_off.append(off.latency_quantiles["p50"])
-        p50_on.append(on.latency_quantiles["p50"])
-        fingerprints.update((off.fingerprint, on.fingerprint))
-    if len(fingerprints) != 1:
-        raise AssertionError(
-            f"telemetry changed campaign outcomes: {sorted(fingerprints)}"
-        )
-    best_off = min(p50_off)
-    best_on = min(p50_on)
-    ratio = best_on / best_off if best_off > 0 else 1.0
-    return TelemetryOverhead(
-        p50_off_s=best_off,
-        p50_on_s=best_on,
-        ratio=ratio,
-        bound=bound,
-        repeats=repeats,
-        fingerprint=next(iter(fingerprints)),
+    #: The base configuration's leg.
+    report: LoadgenReport
+    checks: Dict[str, CheckResult]
+    #: Distinct campaigns run, the base leg included.
+    campaigns: int
+
+    @property
+    def failures(self) -> List[str]:
+        """Every failed check condition, prefixed with its check."""
+        return [
+            f"check {name}: {failure}"
+            for name, result in self.checks.items()
+            for failure in result.failures
+        ]
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The legs block of ``clarify loadgen --output``."""
+        return {
+            "campaigns": self.campaigns,
+            "checks": {
+                name: result.to_dict() for name, result in self.checks.items()
+            },
+        }
+
+
+def _plan(check: str, base: Leg, cold_dir: str) -> List[Tuple[str, Leg]]:
+    """The named legs of one check; the first is the reference."""
+    serial = dataclasses.replace(base, workers=1)
+    if check == "serial":
+        return [("serial", serial), ("pooled", base)]
+    if check == "cache":
+        cold = dataclasses.replace(base, cache_dir=cold_dir)
+        return [
+            ("uncached", dataclasses.replace(base, cache_dir=None)),
+            ("cold", cold),
+            ("warm", dataclasses.replace(cold, repeat=1)),
+        ]
+    if check == "telemetry":
+        return [
+            (
+                f"{mode}-{index}",
+                dataclasses.replace(base, telemetry=on, repeat=index),
+            )
+            for index in range(TELEMETRY_PAIRS)
+            for mode, on in (("off", False), ("on", True))
+        ]
+    sharded = Leg(base.workers, telemetry=False, shards=SHARDS)
+    return [
+        ("serial", serial),
+        ("pooled", base),
+        ("sharded", sharded),
+        ("chaos", dataclasses.replace(sharded, chaos=True)),
+    ]
+
+
+def _verdict(check: str, legs: Dict[str, Any]) -> CheckResult:
+    """Fingerprint identity against the first leg, then the predicate."""
+    (first_name, first), *rest = legs.items()
+    failures = [
+        f"leg {name!r} fingerprint {leg.fingerprint} != leg {first_name!r} "
+        f"fingerprint {first.fingerprint} (outcomes {leg.outcomes} vs "
+        f"{first.outcomes})"
+        for name, leg in rest
+        if leg.fingerprint != first.fingerprint
+    ]
+    summary = (
+        f"{len(failures)} of {len(rest)} legs diverged from {first_name!r}"
+        if failures
+        else f"{len(legs)} legs identical ({first.fingerprint[:16]}…)"
     )
+    if check == "cache":
+        uncached, cold, warm = (
+            legs[name].upstream_llm_calls
+            for name in ("uncached", "cold", "warm")
+        )
+        summary += (
+            f"; upstream calls {uncached} uncached → {cold} cold → "
+            f"{warm} warm"
+        )
+        if not uncached >= cold > warm:
+            failures.append(
+                "upstream calls must fall uncached >= cold > warm, got "
+                f"{uncached} / {cold} / {warm}"
+            )
+    elif check == "telemetry":
+        best = {
+            mode: min(
+                legs[f"{mode}-{index}"].latency_quantiles["p50"]
+                for index in range(TELEMETRY_PAIRS)
+            )
+            for mode in ("off", "on")
+        }
+        ratio = best["on"] / best["off"] if best["off"] > 0 else 1.0
+        summary += (
+            f"; p50 {best['off'] * 1000:.1f}ms off → "
+            f"{best['on'] * 1000:.1f}ms on ({ratio:.3f}x, bound "
+            f"{TELEMETRY_BOUND:g}x)"
+        )
+        if ratio > TELEMETRY_BOUND:
+            failures.append(
+                f"telemetry-on p50 is {ratio:.3f}x the off p50, above the "
+                f"{TELEMETRY_BOUND:g}x bound"
+            )
+    elif check == "shard":
+        chaos = legs["chaos"]
+        summary += (
+            f"; chaos leg restarted {chaos.restarts} shard(s), restored "
+            f"{chaos.restored_sessions} session(s)"
+        )
+        if chaos.restarts < 1 or chaos.restored_sessions < 1:
+            failures.append(
+                "the chaos leg did not exercise recovery: "
+                f"restarts={chaos.restarts} "
+                f"restored_sessions={chaos.restored_sessions}"
+            )
+    return CheckResult(legs=legs, failures=failures, summary=summary)
+
+
+def run_checks(
+    checks: Sequence[str] = (),
+    sessions: int = 16,
+    requests_per_session: int = 2,
+    workers: int = 4,
+    seed: int = 2025,
+    telemetry: bool = True,
+    cache_dir: Optional[str] = None,
+    store_root: Optional[str] = None,
+    max_attempts: int = 3,
+    backend: str = "simulated",
+    **kwargs: Any,
+) -> ChecksRun:
+    """Run the base campaign plus every leg the named ``checks`` need.
+
+    A check is a list of named legs (:class:`Leg`) of one seeded
+    campaign.  Every leg's outcome fingerprint must equal the first
+    leg's, and one predicate per check covers the rest:
+
+    * ``serial``: one worker vs ``workers``;
+    * ``cache``: uncached ≥ cold > warm upstream LLM calls, the cold
+      and warm legs sharing ``cache_dir`` (or a fresh scratch one);
+    * ``telemetry``: :data:`TELEMETRY_PAIRS` off/on pairs whose best
+      p50s are within :data:`TELEMETRY_BOUND` of each other;
+    * ``shard``: serial, pooled, :data:`SHARDS`-shard, and sharded with
+      one shard SIGKILLed and restored from its journals (stores under
+      ``store_root``, or scratch); the chaos leg must restart a shard
+      and restore a session.
+
+    The base configuration (``workers``, ``telemetry``, ``cache_dir``)
+    is itself a leg, and its report is the run's main report.  A leg
+    that already ran in this call runs only once.  Failed checks are
+    reported in the result, never raised.  ``kwargs`` go to every
+    in-process leg's :func:`run_loadgen`; a chaos rate or a deadline
+    (schedule-dependent outcomes) or, for the shard check, a netwide
+    gate raises :class:`ValueError` before any campaign runs.
+    """
+    unknown = sorted(set(checks) - set(CHECKS))
+    if unknown:
+        raise ValueError(
+            f"unknown check(s) {unknown}; known: {', '.join(CHECKS)}"
+        )
+    schedule_dependent = (
+        kwargs.get("fault_rate") or kwargs.get("deadline_s") is not None
+    )
+    if checks and schedule_dependent:
+        raise ValueError(
+            "the checks require a fault-free, deadline-free campaign "
+            "(fault placement and deadlines are schedule-dependent)"
+        )
+    if "shard" in checks and kwargs.get("netwide"):
+        raise ValueError(
+            "the shard check requires a gate-free campaign (shard "
+            "processes run the plain serving stack)"
+        )
+    base = Leg(workers, telemetry, cache_dir)
+    reports: Dict[Leg, Any] = {}
+    with tempfile.TemporaryDirectory(prefix="clarify-legs-") as scratch:
+
+        def run(leg: Leg) -> Any:
+            if leg in reports:
+                return reports[leg]
+            if leg.shards:
+                # Imported here: the shard module imports this one.
+                from repro.serve.shard import run_sharded_loadgen
+
+                reports[leg] = run_sharded_loadgen(
+                    sessions,
+                    requests_per_session,
+                    shards=leg.shards,
+                    workers_per_shard=leg.workers,
+                    seed=seed,
+                    store_root=os.path.join(
+                        store_root or scratch,
+                        "chaos" if leg.chaos else "sharded",
+                    ),
+                    max_attempts=max_attempts,
+                    backend=backend,
+                    kill_and_restart=leg.chaos,
+                )
+            else:
+                reports[leg] = run_loadgen(
+                    sessions,
+                    requests_per_session,
+                    workers=leg.workers,
+                    seed=seed,
+                    telemetry=leg.telemetry,
+                    cache_dir=leg.cache_dir,
+                    max_attempts=max_attempts,
+                    backend=backend,
+                    **kwargs,
+                )
+            return reports[leg]
+
+        cold_dir = cache_dir or os.path.join(scratch, "cache")
+        results = {
+            check: _verdict(
+                check,
+                {name: run(leg) for name, leg in _plan(check, base, cold_dir)},
+            )
+            for check in CHECKS
+            if check in checks
+        }
+        report = run(base)
+    return ChecksRun(report=report, checks=results, campaigns=len(reports))
 
 
 __all__ = [
     "CAMPUS_CONFIG",
     "CAMPUS_TARGET",
+    "CHECKS",
     "CLOUD_CONFIG",
     "CLOUD_TARGET",
-    "CacheEffectiveness",
+    "CheckResult",
+    "ChecksRun",
     "LLMStack",
+    "Leg",
     "LoadgenReport",
+    "SHARDS",
     "SessionSpec",
-    "TelemetryOverhead",
+    "TELEMETRY_BOUND",
+    "TELEMETRY_PAIRS",
     "build_llm_stack",
-    "check_cache_effectiveness",
-    "check_serial_identity",
-    "check_telemetry_overhead",
     "generate_workload",
+    "run_checks",
     "run_loadgen",
 ]

@@ -35,11 +35,12 @@ numbers are answered from the journal
 request is applied exactly once no matter where the crash landed.
 
 The proof obligation is the same differential the serving layer has
-used since the pool was introduced: :func:`check_shard_identity` runs
-the identical seeded campaign serial, pooled, sharded, and
+used since the pool was introduced: the ``shard`` check of
+:func:`repro.serve.loadgen.run_checks` runs the identical seeded
+campaign serial, pooled, sharded (:func:`run_sharded_loadgen`), and
 sharded-with-a-kill, and requires all four outcome fingerprints to be
-byte-identical (``clarify loadgen --check-shard-identity``, enforced by
-the ``shard`` CI job).
+byte-identical (``clarify loadgen --check shard``, enforced by the
+``shard`` CI job).
 """
 
 from __future__ import annotations
@@ -490,10 +491,19 @@ class ShardedCluster:
 
     # ---------------------------------------------------------------- chaos
 
+    def _shard(self, index: int) -> ShardProcess:
+        if not 0 <= index < len(self.procs):
+            raise ClusterError(
+                f"no shard {index}: the cluster has shards 0.."
+                f"{len(self.procs) - 1}"
+            )
+        return self.procs[index]
+
     def kill_shard(self, index: int) -> None:
         """SIGKILL one shard; its in-flight requests stay pending."""
+        proc = self._shard(index)
         self.kills += 1
-        self.procs[index].kill()
+        proc.kill()
 
     def restart_shard(self, index: int, timeout_s: float = 60.0) -> int:
         """Respawn a killed shard; returns how many sessions it restored.
@@ -503,7 +513,7 @@ class ShardedCluster:
         commands in original order (see :meth:`ShardProcess.restart`)
         and verifies via ``stats`` that restoration happened.
         """
-        proc = self.procs[index]
+        proc = self._shard(index)
         proc.restart()
         stats = proc.send({"op": "stats"}).wait(timeout_s)
         if stats is None or not stats.get("ok"):
@@ -698,130 +708,12 @@ def run_sharded_loadgen(
     )
 
 
-@dataclasses.dataclass
-class ShardIdentity:
-    """The four-legged differential: serial, pooled, sharded, chaos."""
-
-    #: The in-process legs (:class:`~repro.serve.loadgen.LoadgenReport`).
-    serial: Any
-    pooled: Any
-    sharded: ShardCampaignReport
-    chaos: ShardCampaignReport
-
-    @property
-    def identical(self) -> bool:
-        return (
-            self.serial.fingerprint
-            == self.pooled.fingerprint
-            == self.sharded.fingerprint
-            == self.chaos.fingerprint
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "identical": self.identical,
-            "serial_fingerprint": self.serial.fingerprint,
-            "pooled_fingerprint": self.pooled.fingerprint,
-            "sharded": self.sharded.to_dict(),
-            "chaos": self.chaos.to_dict(),
-        }
-
-
-def check_shard_identity(
-    sessions: int,
-    requests_per_session: int,
-    workers: int,
-    seed: int,
-    shards: int = 2,
-    store_root: Optional[str] = None,
-    max_attempts: int = 3,
-    backend: str = "simulated",
-    **kwargs: Any,
-) -> ShardIdentity:
-    """Serial vs pooled vs sharded vs killed-and-restarted — all equal.
-
-    Extends :func:`~repro.serve.loadgen.check_serial_identity` across
-    the process boundary: the same seeded campaign must produce
-    byte-identical outcome fingerprints (1) serially in one thread,
-    (2) pooled across ``workers`` threads, (3) sharded across
-    ``shards`` processes, and (4) sharded with one shard SIGKILLed
-    mid-campaign and restored from its journals.  The chaos leg must
-    additionally have restarted at least one shard and restored at
-    least one session — a kill that recovered nothing would be vacuous.
-    """
-    from repro.serve.loadgen import run_loadgen
-
-    serial = run_loadgen(
-        sessions,
-        requests_per_session,
-        workers=1,
-        seed=seed,
-        max_attempts=max_attempts,
-        backend=backend,
-        **kwargs,
-    )
-    pooled = run_loadgen(
-        sessions,
-        requests_per_session,
-        workers=workers,
-        seed=seed,
-        max_attempts=max_attempts,
-        backend=backend,
-        **kwargs,
-    )
-    sharded = run_sharded_loadgen(
-        sessions,
-        requests_per_session,
-        shards=shards,
-        workers_per_shard=workers,
-        seed=seed,
-        store_root=(
-            os.path.join(store_root, "sharded") if store_root else None
-        ),
-        max_attempts=max_attempts,
-        backend=backend,
-    )
-    chaos = run_sharded_loadgen(
-        sessions,
-        requests_per_session,
-        shards=shards,
-        workers_per_shard=workers,
-        seed=seed,
-        store_root=os.path.join(store_root, "chaos") if store_root else None,
-        max_attempts=max_attempts,
-        backend=backend,
-        kill_and_restart=True,
-    )
-    identity = ShardIdentity(
-        serial=serial,
-        pooled=pooled,
-        sharded=sharded,
-        chaos=chaos,
-    )
-    if not identity.identical:
-        raise AssertionError(
-            "sharded runs diverged from the serial baseline: "
-            f"serial {serial.fingerprint} / pooled {pooled.fingerprint} / "
-            f"sharded {sharded.fingerprint} / chaos {chaos.fingerprint} "
-            f"(chaos outcomes {chaos.outcomes})"
-        )
-    if chaos.restarts < 1 or chaos.restored_sessions < 1:
-        raise AssertionError(
-            "the chaos leg did not exercise recovery: "
-            f"restarts={chaos.restarts} "
-            f"restored_sessions={chaos.restored_sessions}"
-        )
-    return identity
-
-
 __all__ = [
     "ClusterError",
     "HashRing",
     "PendingCall",
     "ShardCampaignReport",
-    "ShardIdentity",
     "ShardProcess",
     "ShardedCluster",
-    "check_shard_identity",
     "run_sharded_loadgen",
 ]

@@ -567,7 +567,11 @@ class DurableSessionStore(SessionStore):
         if os.path.exists(path):
             with open(path) as handle:
                 text = handle.read()
-            if text.strip():
+            # Events are written as whole newline-terminated lines, so a
+            # file without a newline holds no complete event (a kill
+            # inside the journal.open header, which carries only the
+            # version) and restores like an empty one from the record.
+            if "\n" in text:
                 events = loads_journal(text, drop_partial_tail=True)
         prefix, dropped = complete_prefix(events)
         return SessionSnapshot(

@@ -123,15 +123,14 @@ class TestRunCampaign:
 
 class TestPoolModes:
     def test_resolve_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown pool mode"):
-            campaign.resolve_pool_mode("threads")
+        for mode in ("threads", "spawn"):
+            with pytest.raises(ValueError, match="unknown pool mode"):
+                campaign.resolve_pool_mode(mode)
 
-    def test_resolve_argument_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL", "spawn")
-        assert campaign.resolve_pool_mode("serial") == "serial"
-        assert campaign.resolve_pool_mode() == "spawn"
-        monkeypatch.delenv("REPRO_POOL")
+    def test_resolve_defaults_to_auto(self):
         assert campaign.resolve_pool_mode() == "auto"
+        for mode in campaign.POOL_MODES:
+            assert campaign.resolve_pool_mode(mode) == mode
 
     def test_serial_mode_forces_one_worker(self):
         acls = _acls(count=4)
@@ -172,10 +171,15 @@ class TestPoolModes:
         assert list(result.results) == [acl_overlap_report(a) for a in acls]
         assert result.chunks >= 2  # the probe plus at least one rest chunk
 
-    def test_choose_engine_degrades_without_parallel_hardware(self):
+    def test_choose_engine_degrades_without_parallel_hardware(
+        self, monkeypatch
+    ):
         assert campaign._choose_engine("serial", 4) == "inline"
         assert campaign._choose_engine("auto", 1) == "inline"
-        assert campaign._choose_engine("spawn", 4) == "spawn"
+        # Without fork the persistent pool falls back to in-process.
+        monkeypatch.setattr(campaign._pool, "fork_available", lambda: False)
+        assert campaign._choose_engine("persistent", 4) == "inline"
+        assert campaign._choose_engine("auto", 4) == "inline"
 
     def test_task_kinds_lists_the_registry(self):
         kinds = campaign.task_kinds()

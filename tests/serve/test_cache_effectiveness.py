@@ -7,11 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.llm import BackendRouter, SimulatedLLM
-from repro.serve import (
-    build_llm_stack,
-    check_cache_effectiveness,
-    run_loadgen,
-)
+from repro.serve import build_llm_stack, run_checks, run_loadgen
 
 
 class TestBuildLlmStack:
@@ -19,7 +15,6 @@ class TestBuildLlmStack:
         stack = build_llm_stack()
         assert stack.backend == "simulated"
         assert stack.cached is None
-        assert stack.batcher is None
         assert stack.faulty is None
         assert stack.router is None
         assert stack.upstream_calls == 0
@@ -93,27 +88,40 @@ class TestCachedCampaigns:
         assert not list(cache_dir.glob("*.json"))
 
     def test_check_cache_effectiveness_passes(self, tmp_path):
-        result = check_cache_effectiveness(
-            4, 2, workers=2, seed=2025, cache_dir=str(tmp_path / "cache")
+        run = run_checks(
+            ["cache"], 4, 2, workers=2, seed=2025,
+            cache_dir=str(tmp_path / "cache"),
         )
-        assert result.identical
-        assert result.warm.upstream_llm_calls < result.cold.upstream_llm_calls
-        assert result.warm.upstream_llm_calls == 0
+        result = run.checks["cache"]
+        assert result.ok, result.failures
+        uncached, cold, warm = (
+            result.legs[name] for name in ("uncached", "cold", "warm")
+        )
+        assert uncached.fingerprint == cold.fingerprint == warm.fingerprint
+        assert uncached.cache == {}
+        assert warm.upstream_llm_calls < cold.upstream_llm_calls
+        assert cold.upstream_llm_calls <= uncached.upstream_llm_calls
+        assert warm.upstream_llm_calls == 0
+        # --cache-dir is the base configuration, so the cold leg is the
+        # main report and no extra campaign runs.
+        assert run.report is cold
+        assert run.campaigns == 3
         payload = result.to_dict()
-        assert payload["identical_outcomes"] is True
-        assert payload["warm_upstream_calls"] == 0
+        assert payload["ok"] is True
+        assert payload["legs"]["warm"]["upstream_llm_calls"] == 0
 
     def test_check_refuses_chaos_and_deadlines(self, tmp_path):
         with pytest.raises(ValueError, match="fault-free"):
-            check_cache_effectiveness(
-                2, 1, workers=1, seed=1,
+            run_checks(
+                ["cache"], 2, 1, workers=1, seed=1,
                 cache_dir=str(tmp_path), fault_rate=0.2,
             )
         with pytest.raises(ValueError, match="deadline-free"):
-            check_cache_effectiveness(
-                2, 1, workers=1, seed=1,
+            run_checks(
+                ["cache"], 2, 1, workers=1, seed=1,
                 cache_dir=str(tmp_path), deadline_s=5.0,
             )
+        assert not list(tmp_path.iterdir())  # refused before running
 
 
 class TestCli:
@@ -126,23 +134,32 @@ class TestCli:
                 "--workers", "2",
                 "--seed", "2025",
                 "--cache-dir", str(tmp_path / "cache"),
-                "--check-cache-effectiveness",
+                "--check", "cache",
                 "--output", str(out),
             ]
         )
         assert code == 0
-        assert "cache effectiveness OK" in capsys.readouterr().out
+        assert "check cache OK" in capsys.readouterr().out
         payload = json.loads(out.read_text())
-        section = payload["cache_effectiveness"]
-        assert section["identical_outcomes"] is True
-        assert section["warm_upstream_calls"] < section["cold_upstream_calls"]
+        section = payload["legs"]["checks"]["cache"]
+        assert section["ok"] is True
+        legs = section["legs"]
+        assert (
+            legs["uncached"]["fingerprint"]
+            == legs["cold"]["fingerprint"]
+            == legs["warm"]["fingerprint"]
+        )
+        assert (
+            legs["warm"]["upstream_llm_calls"]
+            < legs["cold"]["upstream_llm_calls"]
+        )
 
     def test_effectiveness_with_faults_is_refused(self, capsys):
         code = main(
             [
                 "loadgen",
                 "--sessions", "2",
-                "--check-cache-effectiveness",
+                "--check", "cache",
                 "--fault-rate", "0.2",
             ]
         )
@@ -158,18 +175,21 @@ class TestCli:
                 "--workers", "2",
                 "--seed", "2025",
                 "--cache-dir", str(tmp_path / "cache"),
-                "--check-serial-identity",
-                "--check-cache-effectiveness",
+                "--check", "serial",
+                "--check", "cache",
                 "--output", str(out),
             ]
         )
         assert code == 0
         captured = capsys.readouterr().out
-        assert "serial identity OK" in captured
-        assert "cache effectiveness OK" in captured
+        assert "check serial OK" in captured
+        assert "check cache OK" in captured
         payload = json.loads(out.read_text())
-        assert payload["identity"] is True
-        assert "cache_effectiveness" in payload
+        checks = payload["legs"]["checks"]
+        assert checks["serial"]["ok"] is True
+        assert checks["cache"]["ok"] is True
+        # serial's pooled leg is cache's cold leg: 4 campaigns, not 5.
+        assert payload["legs"]["campaigns"] == 4
 
     def test_serve_cache_dir_flag(self, monkeypatch, capsys, tmp_path):
         lines = [

@@ -80,24 +80,30 @@ class TestLoadgenCli:
                 "--sessions", "6",
                 "--workers", "3",
                 "--seed", "2025",
-                "--check-serial-identity",
+                "--check", "serial",
                 "--output", str(out),
             ]
         )
         assert code == 0
         captured = capsys.readouterr()
-        assert "serial identity OK" in captured.out
+        assert "check serial OK" in captured.out
         payload = json.loads(out.read_text())
-        assert payload["identity"] is True
+        check = payload["legs"]["checks"]["serial"]
+        assert check["ok"] is True
         assert payload["loadgen"]["outcomes"]["applied"] == 12
-        assert payload["serial"]["fingerprint"] == payload["loadgen"]["fingerprint"]
+        assert (
+            check["legs"]["serial"]["fingerprint"]
+            == payload["loadgen"]["fingerprint"]
+        )
+        assert check["legs"]["serial"]["workers"] == 1
+        assert payload["legs"]["campaigns"] == 2
 
     def test_identity_with_faults_is_refused(self, capsys):
         code = main(
             [
                 "loadgen",
                 "--sessions", "2",
-                "--check-serial-identity",
+                "--check", "serial",
                 "--fault-rate", "0.2",
             ]
         )
@@ -164,12 +170,23 @@ class TestServeCli:
                 {"op": "nonsense"},
                 {"op": "open", "session": "s1"},
                 {"op": "open", "session": "s1"},
+                # json reads 1e400 (here: Infinity) and 1.5 as floats.
+                {"op": "request", "session": "s1", "intent": INTENT,
+                 "target": "OUT", "seq": float("inf")},
+                {"op": "request", "session": "s1", "intent": INTENT,
+                 "target": "OUT", "seq": 1.5},
+                {"op": "stats"},
                 {"op": "quit"},
             ],
         )
         assert code == 0
-        unknown, bad_op, opened, duplicate, _ = replies
+        unknown, bad_op, opened, duplicate, huge, fraction, stats, _ = replies
         assert not unknown["ok"] and "ghost" in unknown["error"]
         assert not bad_op["ok"]
         assert opened["ok"]
         assert not duplicate["ok"] and "already open" in duplicate["error"]
+        for bad_seq in (huge, fraction):
+            assert not bad_seq["ok"] and "'seq' must be an integer" in (
+                bad_seq["error"]
+            )
+        assert stats["ok"] and stats["sessions"] == 1

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from repro.serve.loadgen import generate_workload, run_loadgen
+from repro.serve.loadgen import generate_workload, run_checks, run_loadgen
 from repro.serve.shard import (
     HashRing,
     ShardedCluster,
@@ -67,6 +67,43 @@ class TestShardedCampaign:
         assert chaos.restored_sessions >= 1
         assert chaos.unresolved == 0
         assert chaos.fingerprint == serial.fingerprint
+
+    def test_shard_check_through_the_runner(self, tmp_path):
+        run = run_checks(
+            ["shard"], 4, 2, workers=2, seed=2025,
+            store_root=str(tmp_path / "stores"),
+        )
+        result = run.checks["shard"]
+        assert result.ok, result.failures
+        assert list(result.legs) == ["serial", "pooled", "sharded", "chaos"]
+        chaos = result.legs["chaos"]
+        assert chaos.restarts >= 1 and chaos.restored_sessions >= 1
+        assert result.legs["sharded"].kills == 0
+        assert run.report is result.legs["pooled"]
+        assert run.campaigns == 4
+        assert sorted(p.name for p in (tmp_path / "stores").iterdir()) == [
+            "chaos",
+            "sharded",
+        ]
+
+    def test_cli_shard_check_writes_the_shard_block(self, capsys, tmp_path):
+        from repro.cli import main
+
+        out = tmp_path / "BENCH_serve.json"
+        code = main(
+            [
+                "loadgen", "--sessions", "2", "--workers", "2",
+                "--check", "shard", "--store-dir", str(tmp_path / "stores"),
+                "--no-telemetry", "--output", str(out),
+            ]
+        )
+        assert code == 0
+        assert "check shard OK" in capsys.readouterr().out
+        # The block CI extracts as BENCH_shard.json.
+        block = json.loads(out.read_text())["legs"]["checks"]["shard"]
+        assert block["ok"] is True
+        assert block["legs"]["chaos"]["restored_sessions"] >= 1
+        assert (tmp_path / "stores" / "chaos").is_dir()
 
 
 class TestCrashRecoveryProtocol:
@@ -184,6 +221,14 @@ class TestRouterSurface:
             assert killed["ok"] is True
             restarted = send(op="restart-shard", tag="t-up", shard=0)
             assert restarted["ok"] is True
+
+            # Out-of-range and non-integer shard indices are refused
+            # replies: no crash, and no shard is killed by wrap-around.
+            for bad in (7, -1, 1.5, float("inf")):
+                for op in ("kill-shard", "restart-shard"):
+                    refused = send(op=op, tag="t-bad", shard=bad)
+                    assert refused["ok"] is False, (op, bad)
+                    assert refused["tag"] == "t-bad"
 
             stats = send(op="stats", tag="t-stats")
             assert stats["ok"] is True

@@ -1,6 +1,7 @@
 """Tests for durable session stores and journal-replay restore."""
 
 import dataclasses
+import json
 import os
 
 import pytest
@@ -295,3 +296,73 @@ class TestDurableStore:
             events = loads_journal(handle.read())
         assert events[0].type == "journal.open"
         assert sum(1 for e in events if e.type == "cycle.end") == 2
+
+
+def line_ends(data):
+    """``(offset where each line's JSON ends, parsed line)`` per line."""
+    ends, offset = [], 0
+    for line in data.splitlines(keepends=True):
+        ends.append((offset + len(line.rstrip(b"\n")), json.loads(line)))
+        offset += len(line)
+    return ends
+
+
+class TestTornWrites:
+    """A kill can cut a durable file at any byte offset."""
+
+    def test_journal_cut_at_every_byte_offset(self, tmp_path):
+        root = str(tmp_path / "store")
+        store = DurableSessionStore(root)
+        manager = SessionManager(session_store=store)
+        workload = generate_workload(1, 2, 2025)
+        drive_campaign(manager, workload)
+        session_id = workload[0].session_id
+        path = store.journal_path(session_id)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        ends = [
+            (end, event["type"] in ("cycle.end", "cycle.error"))
+            for end, event in line_ends(data)
+        ]
+        assert sum(done for _, done in ends) == 2
+
+        reader = DurableSessionStore(root)
+        # Replay is the slow part: rebuild once per distinct surviving
+        # prefix; None marks a prefix refused with RestoreError.
+        completed = {}
+        for cut in range(len(data) + 1):
+            with open(path, "wb") as handle:
+                handle.write(data[:cut])
+            snapshot = reader.snapshot(session_id)
+            key = tuple(event.to_json() for event in snapshot.events)
+            if key not in completed:
+                try:
+                    completed[key] = rebuild_session(snapshot).completed
+                except RestoreError:
+                    completed[key] = None
+            expected = sum(done for end, done in ends if end <= cut)
+            assert completed[key] in (expected, None), cut
+        assert set(completed.values()) == {0, 1, 2}
+
+    def test_manifest_cut_at_every_byte_offset(self, tmp_path):
+        writer = DurableSessionStore(str(tmp_path / "writer"))
+        for session_id in ("alice", "bob"):
+            writer.open(SessionRecord(session_id, config_text=CAMPUS_CONFIG))
+        writer.close("alice")
+        writer.open(SessionRecord("carol"))
+        data = (tmp_path / "writer" / DurableSessionStore.MANIFEST).read_bytes()
+        entries = line_ends(data)
+
+        reader = DurableSessionStore(str(tmp_path / "reader"))
+        path = tmp_path / "reader" / DurableSessionStore.MANIFEST
+        for cut in range(len(data) + 1):
+            path.write_bytes(data[:cut])
+            expected = []
+            for end, entry in entries:
+                if end > cut:
+                    break
+                if entry["op"] == "open":
+                    expected.append(entry["record"]["session_id"])
+                else:
+                    expected.remove(entry["session_id"])
+            assert [r.session_id for r in reader.records()] == expected, cut

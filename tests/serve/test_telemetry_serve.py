@@ -14,6 +14,8 @@ from repro.serve import (
     ClarifyService,
     ServeRequest,
     SessionManager,
+    loadgen,
+    run_checks,
     run_loadgen,
 )
 
@@ -221,3 +223,44 @@ class TestCampaignTelemetry:
         events = list(tele.iter_events(str(path)))
         assert len(events) == report.telemetry["wide_events"]
         assert all(e["trace_id"] for e in events)
+
+
+class TestTelemetryCheck:
+    def test_breach_is_a_failure_not_an_exception(self, monkeypatch):
+        monkeypatch.setattr(loadgen, "TELEMETRY_BOUND", 0.0)
+        run = run_checks(["telemetry"], 2, 1, workers=2, seed=2025)
+        result = run.checks["telemetry"]
+        assert list(result.legs) == [
+            f"{mode}-{index}"
+            for index in range(loadgen.TELEMETRY_PAIRS)
+            for mode in ("off", "on")
+        ]
+        # Identity held across all six legs; only the bound failed.
+        (failure,) = result.failures
+        assert "above the 0x bound" in failure
+        assert not result.legs["off-0"].telemetry["enabled"]
+        assert result.legs["on-0"].telemetry["enabled"]
+        # The base configuration (telemetry on) is the on-0 leg.
+        assert run.report is result.legs["on-0"]
+        assert run.campaigns == 2 * loadgen.TELEMETRY_PAIRS
+
+    def test_cli_artifact_feeds_the_slo_gate(self, tmp_path):
+        import json
+
+        from repro.cli import main
+
+        # Timing decides the bound and the SLO verdict; this test is
+        # about the artifact bench-check reads.
+        out = tmp_path / "BENCH_serve.json"
+        main(
+            [
+                "loadgen", "--sessions", "2", "--requests-per-session", "1",
+                "--workers", "2", "--check", "telemetry",
+                "--output", str(out),
+            ]
+        )
+        payload = json.loads(out.read_text())
+        assert payload["legs"]["campaigns"] == 2 * loadgen.TELEMETRY_PAIRS
+        slo = payload["loadgen"]["telemetry"]["slo"]
+        gate = main(["bench-check", "--slo-report", str(out), "--slo-only"])
+        assert gate == (2 if slo["alerting"] else 0)

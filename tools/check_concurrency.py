@@ -8,7 +8,7 @@ tests rarely catch regressing:
     No blocking call (LLM completion, sleep, socket/HTTP I/O) may run
     *lexically inside* a ``with <lock>`` block.  A blocked holder stalls
     every other thread contending for that lock — the exact serial
-    collapse the dedup/batching layers exist to avoid.  ``Condition``
+    collapse the dedup layer exists to avoid.  ``Condition``
     methods (``wait``/``wait_for``/``notify``...) are exempt: waiting
     releases the lock by design.
 
