@@ -12,6 +12,19 @@ atoms: the *sibling* subtrees that diverge from ``P`` at each bit, the
 shorter prefixes along the path to ``P``, and the in-``P`` length windows
 outside ``[lo, hi]``.  The property tests in ``tests/analysis`` check
 this decomposition against brute-force enumeration on small universes.
+
+Subtraction *carves*: ``atom - taken`` is exactly the non-empty
+intersections of ``atom`` with ``taken.complement_atoms()``, in that
+order, but only the complement atoms on the path between the two
+covering prefixes can meet ``atom``, so :func:`_carve` generates those
+directly instead of building the complement.  Atom order is part of the
+output: :meth:`PrefixSpace.witness` returns the first atom's witness,
+which is the example a disambiguation question shows.
+
+A space records when its atoms are known to be pairwise disjoint (a
+single atom, a complement, a carved disjoint space, the intersection of
+two disjoint spaces).  Those results skip the pairwise absorption sweep,
+which could not remove or reorder anything in them.
 """
 
 from __future__ import annotations
@@ -102,6 +115,52 @@ class PrefixAtom:
         return f"{self.covering}:{self.lo}-{self.hi}"
 
 
+def _carve(atom: PrefixAtom, taken: PrefixAtom) -> Tuple[PrefixAtom, ...]:
+    """``atom`` minus ``taken``, as pairwise-disjoint atoms.
+
+    Exactly the non-``None`` ``atom.intersect(c)`` for ``c`` in
+    ``taken.complement_atoms()``, in that order: ``(atom,)`` when the
+    covering prefixes diverge, ``()`` when ``taken`` subsumes ``atom``.
+    """
+    covering, target = atom.covering, taken.covering
+    if covering.contains_prefix(target):
+        deeper = target
+    elif target.contains_prefix(covering):
+        deeper = covering
+    else:
+        return (atom,)
+    out: List[PrefixAtom] = []
+    # (a) subtrees diverging from the path to ``target`` below
+    # ``covering`` (none unless ``target`` is the deeper prefix).
+    for length in range(covering.length + 1, min(target.length, atom.hi) + 1):
+        sibling = target.truncate(length).sibling()
+        out.append(PrefixAtom(sibling, max(atom.lo, length), atom.hi))
+    # (b) the prefixes on that path, shorter than ``target``.
+    for length in range(atom.lo, min(target.length, atom.hi + 1)):
+        out.append(PrefixAtom.exact(target.truncate(length)))
+    # (c) networks in ``deeper`` at lengths outside ``taken``'s window.
+    if taken.lo > target.length:
+        lo, hi = max(atom.lo, target.length), min(atom.hi, taken.lo - 1)
+        if lo <= hi:
+            out.append(PrefixAtom(deeper, lo, hi))
+    if taken.hi < 32:
+        lo = max(atom.lo, taken.hi + 1)
+        if lo <= atom.hi:
+            out.append(PrefixAtom(deeper, lo, atom.hi))
+    return tuple(out)
+
+
+def _carve_all(
+    atoms: Tuple[PrefixAtom, ...], taken: Sequence[PrefixAtom]
+) -> Tuple[PrefixAtom, ...]:
+    """Carve every atom of ``taken`` out of ``atoms``, keeping their order."""
+    for cut in taken:
+        if not atoms:
+            break
+        atoms = tuple(piece for atom in atoms for piece in _carve(atom, cut))
+    return atoms
+
+
 def _absorb(atoms: Sequence[PrefixAtom]) -> Tuple[PrefixAtom, ...]:
     """Drop atoms subsumed by other atoms (keeps the union small)."""
     kept: List[PrefixAtom] = []
@@ -118,9 +177,16 @@ class PrefixSpace:
     """A finite union of :class:`PrefixAtom` (not necessarily disjoint)."""
 
     atoms: Tuple[PrefixAtom, ...] = ()
+    #: The atoms are known to be pairwise disjoint.  Set only by the
+    #: operations whose results are disjoint by construction; it is not
+    #: part of the space's value (equality and hash ignore it).
+    _disjoint: bool = dataclasses.field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", _absorb(self.atoms))
+        if not self._disjoint:
+            atoms = _absorb(self.atoms)
+            object.__setattr__(self, "atoms", atoms)
+            object.__setattr__(self, "_disjoint", len(atoms) < 2)
 
     @classmethod
     def empty(cls) -> "PrefixSpace":
@@ -162,6 +228,10 @@ class PrefixSpace:
         return any(atom.contains(network) for atom in self.atoms)
 
     def union(self, other: "PrefixSpace") -> "PrefixSpace":
+        if not other.atoms:
+            return self
+        if not self.atoms:
+            return other
         return PrefixSpace(self.atoms + other.atoms)
 
     def intersect(self, other: "PrefixSpace") -> "PrefixSpace":
@@ -171,18 +241,17 @@ class PrefixSpace:
                 got = a.intersect(b)
                 if got is not None:
                     out.append(got)
-        return PrefixSpace(tuple(out))
+        return PrefixSpace(
+            tuple(out), _disjoint=self._disjoint and other._disjoint
+        )
 
     def complement(self) -> "PrefixSpace":
-        result = PrefixSpace.universe()
-        for atom in self.atoms:
-            result = result.intersect(PrefixSpace(atom.complement_atoms()))
-            if result.is_empty():
-                break
-        return result
+        atoms = _carve_all((PrefixAtom.universe(),), self.atoms)
+        return PrefixSpace(atoms, _disjoint=True)
 
     def subtract(self, other: "PrefixSpace") -> "PrefixSpace":
-        return self.intersect(other.complement())
+        atoms = _carve_all(self.atoms, other.atoms)
+        return PrefixSpace(atoms, _disjoint=self._disjoint)
 
     def is_subset_of(self, other: "PrefixSpace") -> bool:
         return self.subtract(other).is_empty()

@@ -992,6 +992,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     hub = None
     server = None
     exit_stack = contextlib.ExitStack()
+    if store is not None:
+        # Runs after the service has drained.  Sessions outlive a clean
+        # shutdown: only an explicit "close" op tombstones them, and
+        # journals are fsynced per event, so this only closes files.
+        exit_stack.callback(store.shutdown)
     if telemetry_on:
         # Spans stay off: the tap times phases itself, and span trees
         # grow without bound under a long-lived server.
@@ -1147,9 +1152,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 reply(tag, ok=False, op=op, error=str(exc))
     if store is None:
         manager.close_all()
-    # With a store, sessions outlive a clean shutdown: an explicit
-    # "close" op is the only thing that tombstones them, and journals
-    # are fsynced per event, so there is nothing to flush here.
     return 0
 
 

@@ -534,6 +534,20 @@ class DurableSessionStore(SessionStore):
         if sink is not None:
             sink.close()
 
+    def shutdown(self) -> None:
+        """Close the manifest and every open journal file.
+
+        Unlike :meth:`close` this tombstones nothing: the sessions stay
+        open in the manifest, so a new store on ``root`` restores them.
+        The store records nothing afterwards.
+        """
+        with self._lock:
+            sinks = list(self._sinks.values())
+            self._sinks.clear()
+            self._manifest.close()
+        for sink in sinks:
+            sink.close()
+
     def records(self) -> List[SessionRecord]:
         path = os.path.join(self.root, self.MANIFEST)
         open_records: Dict[str, SessionRecord] = {}

@@ -1,8 +1,10 @@
 """Tests for durable session stores and journal-replay restore."""
 
 import dataclasses
+import gc
 import json
 import os
+import warnings
 
 import pytest
 
@@ -19,6 +21,21 @@ from repro.serve.store import (
     rebuild_session,
     responses_from_events,
 )
+
+
+@pytest.fixture
+def stores():
+    """Builds :class:`DurableSessionStore` objects and shuts every one
+    down when the test ends."""
+    built = []
+
+    def build(root):
+        built.append(DurableSessionStore(str(root)))
+        return built[-1]
+
+    yield build
+    for store in built:
+        store.shutdown()
 
 
 def drive_campaign(manager, workload, rounds=None):
@@ -223,15 +240,15 @@ class TestRebuildSession:
 
 
 class TestDurableStore:
-    def test_round_trip_on_disk(self, tmp_path):
+    def test_round_trip_on_disk(self, tmp_path, stores):
         root = str(tmp_path / "store")
-        store = DurableSessionStore(root)
+        store = stores(root)
         manager = SessionManager(session_store=store)
         workload = generate_workload(2, 2, 2025)
         live = drive_campaign(manager, workload)
 
         # A brand-new store object: nothing shared with the writer.
-        fresh = SessionManager(session_store=DurableSessionStore(root))
+        fresh = SessionManager(session_store=stores(root))
         assert fresh.restore_all() == [s.session_id for s in workload]
         for spec in workload:
             assert (
@@ -243,9 +260,9 @@ class TestDurableStore:
             replayed = fresh.get(session_id).replayed_response(seq)
             assert replayed.outcome_key() == response.outcome_key()
 
-    def test_torn_journal_tail_is_dropped(self, tmp_path):
+    def test_torn_journal_tail_is_dropped(self, tmp_path, stores):
         root = str(tmp_path / "store")
-        store = DurableSessionStore(root)
+        store = stores(root)
         manager = SessionManager(session_store=store)
         workload = generate_workload(1, 1, 2025)
         drive_campaign(manager, workload)
@@ -253,14 +270,14 @@ class TestDurableStore:
         path = store.journal_path(session_id)
         with open(path, "a") as handle:
             handle.write('{"seq": 999, "type": "cycle.st')  # torn mid-write
-        snapshot = DurableSessionStore(root).snapshot(session_id)
+        snapshot = stores(root).snapshot(session_id)
         assert snapshot.events[-1].type == "cycle.end"
         rebuilt = rebuild_session(snapshot)
         assert rebuilt.completed == 1
 
-    def test_resume_rewrites_a_clean_journal(self, tmp_path):
+    def test_resume_rewrites_a_clean_journal(self, tmp_path, stores):
         root = str(tmp_path / "store")
-        store = DurableSessionStore(root)
+        store = stores(root)
         manager = SessionManager(session_store=store)
         workload = generate_workload(1, 1, 2025)
         drive_campaign(manager, workload)
@@ -268,25 +285,25 @@ class TestDurableStore:
         with open(store.journal_path(session_id), "a") as handle:
             handle.write("garbage that a crash left behind")
 
-        fresh_store = DurableSessionStore(root)
+        fresh_store = stores(root)
         fresh = SessionManager(session_store=fresh_store)
         fresh.restore_all()
         events = read_journal(store.journal_path(session_id))
         assert [e.seq for e in events] == list(range(len(events)))
         assert events[-1].type == "cycle.end"
 
-    def test_manifest_tombstone_survives_reopen(self, tmp_path):
+    def test_manifest_tombstone_survives_reopen(self, tmp_path, stores):
         root = str(tmp_path / "store")
-        store = DurableSessionStore(root)
+        store = stores(root)
         store.open(SessionRecord(session_id="alice"))
         store.open(SessionRecord(session_id="bob"))
         store.close("alice")
-        reopened = DurableSessionStore(root)
+        reopened = stores(root)
         assert [r.session_id for r in reopened.records()] == ["bob"]
 
-    def test_journal_files_are_valid_jsonl(self, tmp_path):
+    def test_journal_files_are_valid_jsonl(self, tmp_path, stores):
         root = str(tmp_path / "store")
-        store = DurableSessionStore(root)
+        store = stores(root)
         manager = SessionManager(session_store=store)
         workload = generate_workload(1, 2, 3)
         drive_campaign(manager, workload)
@@ -296,6 +313,22 @@ class TestDurableStore:
             events = loads_journal(handle.read())
         assert events[0].type == "journal.open"
         assert sum(1 for e in events if e.type == "cycle.end") == 2
+
+    def test_lifecycle_leaves_no_file_open(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            store = DurableSessionStore(str(tmp_path / "store"))
+            manager = SessionManager(session_store=store)
+            workload = generate_workload(2, 1, 2025)
+            drive_campaign(manager, workload)
+            manager.close(workload[0].session_id)
+            store.shutdown()
+            del manager, store
+            gc.collect()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+        reopened = DurableSessionStore(str(tmp_path / "store"))
+        assert [r.session_id for r in reopened.records()] == [workload[1].session_id]
+        reopened.shutdown()
 
 
 def line_ends(data):
@@ -310,9 +343,9 @@ def line_ends(data):
 class TestTornWrites:
     """A kill can cut a durable file at any byte offset."""
 
-    def test_journal_cut_at_every_byte_offset(self, tmp_path):
+    def test_journal_cut_at_every_byte_offset(self, tmp_path, stores):
         root = str(tmp_path / "store")
-        store = DurableSessionStore(root)
+        store = stores(root)
         manager = SessionManager(session_store=store)
         workload = generate_workload(1, 2, 2025)
         drive_campaign(manager, workload)
@@ -326,7 +359,7 @@ class TestTornWrites:
         ]
         assert sum(done for _, done in ends) == 2
 
-        reader = DurableSessionStore(root)
+        reader = stores(root)
         # Replay is the slow part: rebuild once per distinct surviving
         # prefix; None marks a prefix refused with RestoreError.
         completed = {}
@@ -344,8 +377,8 @@ class TestTornWrites:
             assert completed[key] in (expected, None), cut
         assert set(completed.values()) == {0, 1, 2}
 
-    def test_manifest_cut_at_every_byte_offset(self, tmp_path):
-        writer = DurableSessionStore(str(tmp_path / "writer"))
+    def test_manifest_cut_at_every_byte_offset(self, tmp_path, stores):
+        writer = stores(tmp_path / "writer")
         for session_id in ("alice", "bob"):
             writer.open(SessionRecord(session_id, config_text=CAMPUS_CONFIG))
         writer.close("alice")
@@ -353,7 +386,7 @@ class TestTornWrites:
         data = (tmp_path / "writer" / DurableSessionStore.MANIFEST).read_bytes()
         entries = line_ends(data)
 
-        reader = DurableSessionStore(str(tmp_path / "reader"))
+        reader = stores(tmp_path / "reader")
         path = tmp_path / "reader" / DurableSessionStore.MANIFEST
         for cut in range(len(data) + 1):
             path.write_bytes(data[:cut])
