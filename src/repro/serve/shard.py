@@ -198,6 +198,7 @@ class ShardProcess:
 
     def spawn(self, restore: bool = False) -> None:
         """Start (or re-start) the subprocess and its reply reader."""
+        self._close_pipes()
         env = dict(os.environ)
         # Telemetry endpoints are per-process resources; N shards must
         # not race for one metrics port or interleave one event log.
@@ -228,6 +229,7 @@ class ShardProcess:
         if self._proc is not None:
             self._proc.kill()
             self._proc.wait()
+            self._close_pipes()
 
     def restart(self) -> None:
         """Respawn with ``--restore`` and re-send unanswered commands."""
@@ -242,17 +244,35 @@ class ShardProcess:
     def stop(self, timeout_s: float = 5.0) -> None:
         """Ask the serve loop to quit; escalate to a kill on timeout."""
         proc = self._proc
-        if proc is None or proc.poll() is not None:
+        if proc is None:
             return
-        try:
-            self._write({"op": "quit", "tag": "quit"})
-        except (ClusterError, OSError):
-            pass
-        try:
-            proc.wait(timeout=timeout_s)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
+        if proc.poll() is None:
+            try:
+                self._write({"op": "quit", "tag": "quit"})
+            except (ClusterError, OSError):
+                pass
+            try:
+                proc.wait(timeout=timeout_s)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+        self._close_pipes()
+
+    def _close_pipes(self) -> None:
+        """Close an exited subprocess's pipes once its reader has drained."""
+        proc, reader = self._proc, self._reader
+        if proc is None or proc.poll() is None:
+            return
+        if reader is not None:
+            reader.join(timeout=5.0)
+        with self._write_lock:
+            if proc.stdin is not None:
+                try:
+                    proc.stdin.close()
+                except OSError:
+                    pass  # a kill can leave unflushed bytes behind
+        if proc.stdout is not None and not (reader and reader.is_alive()):
+            proc.stdout.close()
 
     # ------------------------------------------------------------- the pipe
 

@@ -89,9 +89,11 @@ class TestResponseCache:
         path = os.path.join(
             cache.directory, f"{canonical_key('s', 'p')}.json"
         )
-        entry = json.load(open(path))
+        with open(path) as handle:
+            entry = json.load(handle)
         entry["prompt"] = "something else"
-        json.dump(entry, open(path, "w"))
+        with open(path, "w") as handle:
+            json.dump(entry, handle)
         assert cache.get("s", "p") is None
         assert cache.corrupt == 1
 
@@ -99,10 +101,11 @@ class TestResponseCache:
         path = os.path.join(
             cache.directory, f"{canonical_key('s', 'p')}.json"
         )
-        json.dump(
-            {"schema": 1, "system": "s", "prompt": "p", "response": 7},
-            open(path, "w"),
-        )
+        with open(path, "w") as handle:
+            json.dump(
+                {"schema": 1, "system": "s", "prompt": "p", "response": 7},
+                handle,
+            )
         assert cache.get("s", "p") is None
         assert cache.corrupt == 1
 

@@ -1,9 +1,12 @@
 """Tests for the consistent-hash shard router and crash recovery."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import threading
+import warnings
 
 import pytest
 
@@ -11,6 +14,7 @@ from repro.serve.loadgen import generate_workload, run_checks, run_loadgen
 from repro.serve.shard import (
     HashRing,
     ShardedCluster,
+    ShardProcess,
     _wire_outcome_key,
     run_sharded_loadgen,
 )
@@ -168,6 +172,26 @@ class TestCrashRecoveryProtocol:
             assert payload.get("recovered") is True
 
 
+class TestShardProcessLifecycle:
+    def test_kill_restart_stop_leaves_no_pipe_open(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            shard = ShardProcess(0, str(tmp_path / "shard"), workers=1)
+            shard.spawn()
+            assert shard.send({"op": "stats"}).wait(60.0) is not None
+            shard.kill()
+            shard.restart()
+            assert shard.send({"op": "stats"}).wait(60.0) is not None
+            shard.stop()
+            assert not shard.alive
+            for thread in threading.enumerate():
+                if thread.name == "shard-0-reader":
+                    thread.join(10.0)
+            del shard
+            gc.collect()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
 class TestRouterSurface:
     """Drive ``clarify serve --shards N`` over a real stdin/stdout pipe.
 
@@ -240,3 +264,5 @@ class TestRouterSurface:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+            proc.stdin.close()
+            proc.stdout.close()
