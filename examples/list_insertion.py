@@ -14,7 +14,7 @@ Run:  python examples/list_insertion.py
 from repro.config import parse_config, render_config
 from repro.config.lists import PrefixListEntry
 from repro.core import CountingOracle, IntentOracle
-from repro.core.listinsert import disambiguate_prefix_list_entry
+from repro.core.disambiguator import disambiguate_prefix_list_entry
 from repro.netaddr import Ipv4Prefix
 
 EXISTING = """\

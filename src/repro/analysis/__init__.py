@@ -10,16 +10,24 @@ Batfish:
 * :mod:`repro.analysis.routespace` / :mod:`repro.analysis.headerspace` —
   symbolic route and packet spaces (unions of per-field product regions)
   with guard translation and per-stanza reachable-space computation;
-* :mod:`repro.analysis.search` — ``search_route_policies`` /
-  ``search_filters``: spec-conformance checks with counterexamples;
-* :mod:`repro.analysis.compare` — ``compare_route_policies`` /
-  ``compare_filters``: differential witnesses between two policies, the
-  primitive the disambiguator is built on.
+* :mod:`repro.analysis.firstmatch` — the first-match engine every policy
+  kind runs on: the reachable-cells walk, ``compare_policies``,
+  ``overlapping_entries`` and ``search_policy`` (``searchRoutePolicies``
+  / ``searchFilters``: spec-conformance checks with counterexamples);
+* :mod:`repro.analysis.compare` — the five policy kinds on that engine,
+  and ``compare_route_policies`` / ``compare_filters``: differential
+  witnesses between two policies, the primitive the disambiguator is
+  built on.
 """
 
 from repro.analysis.compare import (
+    AclPolicy,
+    AsPathListPolicy,
     BehaviorDifference,
+    CommunityListPolicy,
     PacketDifference,
+    PrefixListPolicy,
+    RouteMapPolicy,
     compare_filters,
     compare_route_policies,
 )
@@ -28,6 +36,12 @@ from repro.analysis.evaluate import (
     RouteMapResult,
     eval_acl,
     eval_route_map,
+)
+from repro.analysis.firstmatch import (
+    FirstMatchPolicy,
+    compare_policies,
+    overlapping_entries,
+    search_policy,
 )
 from repro.analysis.headerspace import (
     PacketRegion,
@@ -42,34 +56,33 @@ from repro.analysis.routespace import (
     stanza_guard_space,
     route_map_reachable_spaces,
 )
-from repro.analysis.search import (
-    FilterSearchResult,
-    RoutePolicySearchResult,
-    search_filters,
-    search_route_policies,
-)
 
 __all__ = [
+    "AclPolicy",
     "AclResult",
+    "AsPathListPolicy",
     "BehaviorDifference",
-    "FilterSearchResult",
+    "CommunityListPolicy",
+    "FirstMatchPolicy",
     "PacketDifference",
     "PacketRegion",
     "PacketSpace",
     "PrefixAtom",
+    "PrefixListPolicy",
     "PrefixSpace",
+    "RouteMapPolicy",
     "RouteMapResult",
-    "RoutePolicySearchResult",
     "RouteRegion",
     "RouteSpace",
     "acl_guard_space",
     "acl_reachable_spaces",
     "compare_filters",
+    "compare_policies",
     "compare_route_policies",
     "eval_acl",
     "eval_route_map",
-    "search_filters",
-    "search_route_policies",
+    "overlapping_entries",
+    "search_policy",
     "stanza_guard_space",
     "route_map_reachable_spaces",
 ]

@@ -1,22 +1,25 @@
 """Differential comparison of two policies (``compareRoutePolicies``).
 
-Given two route-maps (or two ACLs) this module finds concrete inputs on
-which they behave differently, together with both outcomes — exactly the
-differential examples Clarify shows the user (§2.2 of the paper).
+Given two route-maps (or two ACLs, or two prefix-, AS-path or community
+lists) this module finds concrete inputs on which they behave
+differently, together with both outcomes — exactly the differential
+examples Clarify shows the user (§2.2 of the paper).
 
-The search intersects the per-stanza *reachable* spaces of the two
-policies: within one intersection cell, each policy's action and
-transform are fixed, so a behavioural difference is decidable per cell.
-When both stanzas permit, the observable difference lives in the
-transforms; a cell witness whose outputs coincide by accident (e.g. the
-input metric already equals the ``set metric`` value) is *de-coincided*
-by nudging unconstrained fields while staying inside the cell.
+Each policy kind is a :class:`~repro.analysis.firstmatch.FirstMatchPolicy`
+here, and the shared first-match engine does the comparison: it
+intersects the per-entry *reachable* spaces of the two policies, and
+within one intersection cell each policy's outcome is fixed, so a
+behavioural difference is decidable per cell.  When two route-map
+stanzas both permit, the observable difference lives in the transforms;
+a cell witness whose outputs coincide by accident (e.g. the input metric
+already equals the ``set metric`` value) is *de-coincided* by nudging
+unconstrained fields while staying inside the cell.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro import obs
 from repro.analysis.evaluate import (
@@ -25,9 +28,30 @@ from repro.analysis.evaluate import (
     eval_acl,
     eval_route_map,
 )
-from repro.analysis.headerspace import acl_reachable_spaces
-from repro.analysis.routespace import RouteRegion, route_map_reachable_spaces
-from repro.config.acl import Acl
+from repro.analysis.firstmatch import (
+    DENY,
+    PERMIT,
+    FirstMatchPolicy,
+    compare_policies,
+)
+from repro.analysis.headerspace import (
+    PacketSpace,
+    acl_guard_space,
+    acl_reachable_spaces,
+)
+from repro.analysis.prefixspace import PrefixSpace
+from repro.analysis.routespace import (
+    AsPathSpace,
+    CommunitySpace,
+    RouteRegion,
+    RouteSpace,
+    as_path_entry_space,
+    community_entry_space,
+    prefix_entry_space,
+    route_map_reachable_spaces,
+    stanza_guard_space,
+)
+from repro.config.acl import Acl, AclRule
 from repro.config.routemap import RouteMap, RouteMapStanza
 from repro.config.sets import (
     SetAsPathPrepend,
@@ -39,9 +63,20 @@ from repro.config.sets import (
     SetWeight,
 )
 from repro.config.store import ConfigStore
-from repro.netaddr import IntervalSet, Ipv4Address
-from repro.regexlib.cisco import community_matches, find_community
+from repro.netaddr import IntervalSet, Ipv4Address, Ipv4Prefix
+from repro.regexlib.cisco import community_matches, find_community, render_as_path
 from repro.route import BgpRoute, Packet
+
+
+def _options(subject: str, result_a, result_b) -> str:
+    """The paper's §2.2 display: the input and both options."""
+    return (
+        subject
+        + "\n\nOPTION 1:\n\n"
+        + result_a.render()
+        + "\n\nOPTION 2:\n\n"
+        + result_b.render()
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,14 +93,7 @@ class BehaviorDifference:
         return self.route
 
     def render(self) -> str:
-        """The paper's §2.2 display: the input route and both options."""
-        return (
-            self.route.render()
-            + "\n\nOPTION 1:\n\n"
-            + self.result_a.render()
-            + "\n\nOPTION 2:\n\n"
-            + self.result_b.render()
-        )
+        return _options(self.route.render(), self.result_a, self.result_b)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,13 +110,44 @@ class PacketDifference:
         return self.packet
 
     def render(self) -> str:
-        return (
-            self.packet.render()
-            + "\n\nOPTION 1:\n\n"
-            + self.result_a.render()
-            + "\n\nOPTION 2:\n\n"
-            + self.result_b.render()
+        return _options(self.packet.render(), self.result_a, self.result_b)
+
+
+@dataclasses.dataclass(frozen=True)
+class ListEntryResult:
+    """The outcome of matching one input against a list."""
+
+    action: str
+
+    def behaviour_key(self) -> tuple:
+        return (self.action,)
+
+    def render(self, indent: str = "") -> str:
+        return f"{indent}ACTION: {self.action}"
+
+
+@dataclasses.dataclass(frozen=True)
+class ListEntryDifference:
+    """One concrete input on which two candidate lists disagree."""
+
+    #: A human-readable label for the input kind ("Network", "AS Path",
+    #: "Communities").
+    label: str
+    subject: object
+    result_a: ListEntryResult
+    result_b: ListEntryResult
+
+    def render(self) -> str:
+        return _options(
+            f"{self.label}: {self._subject_text()}", self.result_a, self.result_b
         )
+
+    def _subject_text(self) -> str:
+        if isinstance(self.subject, (list, tuple)):
+            return render_as_path(self.subject) or "(empty)"
+        if isinstance(self.subject, frozenset):
+            return ", ".join(sorted(self.subject)) or "(none)"
+        return str(self.subject)
 
 
 # --------------------------------------------------- transform summaries
@@ -200,7 +259,151 @@ def _decoincide_communities(
     return None
 
 
-# ------------------------------------------------------------ route maps
+# ---------------------------------------------------------- policy kinds
+
+
+@dataclasses.dataclass(frozen=True)
+class RouteMapPolicy(FirstMatchPolicy):
+    """A route-map over BGP routes; its lists resolve in ``store``."""
+
+    route_map: RouteMap
+    store: ConfigStore
+
+    @property
+    def entries(self) -> Sequence[RouteMapStanza]:
+        return self.route_map.stanzas
+
+    def universe(self) -> RouteSpace:
+        return RouteSpace.universe()
+
+    def guard(self, stanza: RouteMapStanza) -> RouteSpace:
+        return stanza_guard_space(stanza, self.store)
+
+    def reachable(self):
+        # The same walk, entered through the module's public function so
+        # that spans and profiles attribute it to route-space analysis.
+        return route_map_reachable_spaces(
+            self.route_map, self.store, include_implicit_deny=True
+        )
+
+    def outcome(self, stanza: Optional[RouteMapStanza]):
+        if stanza is None or stanza.action != PERMIT:
+            return DENY
+        return (PERMIT, transform_summary(stanza))
+
+    def evaluate(self, route: BgpRoute) -> RouteMapResult:
+        return eval_route_map(self.route_map, self.store, route)
+
+    def nudge(self, route, cell, stanza_a, stanza_b) -> Optional[BgpRoute]:
+        if stanza_a is None or stanza_b is None:
+            return None
+        return _decoincide(
+            route, cell, transform_summary(stanza_a), transform_summary(stanza_b)
+        )
+
+    def difference(self, route, result_a, result_b) -> BehaviorDifference:
+        return BehaviorDifference(route, result_a, result_b)
+
+
+@dataclasses.dataclass(frozen=True)
+class AclPolicy(FirstMatchPolicy):
+    """An extended ACL over packets."""
+
+    acl: Acl
+
+    @property
+    def entries(self) -> Sequence[AclRule]:
+        return self.acl.rules
+
+    def universe(self) -> PacketSpace:
+        return PacketSpace.universe()
+
+    def guard(self, rule: AclRule) -> PacketSpace:
+        return acl_guard_space(rule)
+
+    def reachable(self):
+        # As for route-maps: the walk, through the public entry point.
+        return acl_reachable_spaces(self.acl, include_implicit_deny=True)
+
+    def evaluate(self, packet: Packet) -> AclResult:
+        return eval_acl(self.acl, packet)
+
+    def difference(self, packet, result_a, result_b) -> PacketDifference:
+        return PacketDifference(packet, result_a, result_b)
+
+
+@dataclasses.dataclass(frozen=True)
+class _ListPolicy(FirstMatchPolicy):
+    """A §7 list: the outcome is the action of the first entry matched."""
+
+    target: object
+    #: How a question introduces the differential input.
+    label = ""
+
+    @property
+    def entries(self):
+        return self.target.entries
+
+    def permits(self, subject) -> bool:
+        raise NotImplementedError
+
+    def evaluate(self, subject) -> ListEntryResult:
+        return ListEntryResult(PERMIT if self.permits(subject) else DENY)
+
+    def difference(self, subject, result_a, result_b) -> ListEntryDifference:
+        return ListEntryDifference(self.label, subject, result_a, result_b)
+
+
+class PrefixListPolicy(_ListPolicy):
+    """A prefix-list over networks."""
+
+    label = "Network"
+
+    def universe(self) -> PrefixSpace:
+        return PrefixSpace.universe()
+
+    def guard(self, entry) -> PrefixSpace:
+        return prefix_entry_space(entry)
+
+    def cells(self, space: PrefixSpace):
+        return space.atoms
+
+    def permits(self, network: Ipv4Prefix) -> bool:
+        return self.target.permits(network)
+
+
+class AsPathListPolicy(_ListPolicy):
+    """An as-path access-list over AS paths."""
+
+    label = "AS Path"
+
+    def universe(self) -> AsPathSpace:
+        return AsPathSpace.universe()
+
+    def guard(self, entry) -> AsPathSpace:
+        return as_path_entry_space(entry)
+
+    def permits(self, path: Sequence[int]) -> bool:
+        return self.target.permits(BgpRoute.build("0.0.0.0/0", as_path=path))
+
+
+class CommunityListPolicy(_ListPolicy):
+    """A community-list (standard or expanded) over community sets."""
+
+    label = "Communities"
+
+    def universe(self) -> CommunitySpace:
+        return CommunitySpace.universe()
+
+    def guard(self, entry) -> CommunitySpace:
+        return community_entry_space(entry)
+
+    def permits(self, communities: FrozenSet[str]) -> bool:
+        route = BgpRoute.build("0.0.0.0/0", communities=communities)
+        return self.target.permits(route)
+
+
+# ------------------------------------------------------------ entry points
 
 
 def compare_route_policies(
@@ -220,84 +423,13 @@ def compare_route_policies(
     with obs.span("analysis.compare_route_policies", policy=map_a.name) as sp:
         obs.count("analysis.compares")
         store_b = store_b if store_b is not None else store
-        reaches_a = route_map_reachable_spaces(
-            map_a, store, include_implicit_deny=True
+        differences = compare_policies(
+            RouteMapPolicy(map_a, store),
+            RouteMapPolicy(map_b, store_b),
+            max_differences,
         )
-        reaches_b = route_map_reachable_spaces(
-            map_b, store_b, include_implicit_deny=True
-        )
-
-        differences: List[BehaviorDifference] = []
-        seen_routes = set()
-        for stanza_a, space_a in reaches_a:
-            for stanza_b, space_b in reaches_b:
-                if _same_outcome(stanza_a, stanza_b):
-                    continue
-                overlap = space_a.intersect(space_b)
-                for cell in overlap.regions:
-                    difference = _cell_difference(
-                        cell, map_a, map_b, store, store_b, stanza_a, stanza_b
-                    )
-                    if difference is None:
-                        continue
-                    if difference.route in seen_routes:
-                        continue
-                    seen_routes.add(difference.route)
-                    differences.append(difference)
-                    if (
-                        max_differences is not None
-                        and len(differences) >= max_differences
-                    ):
-                        sp.annotate(differences=len(differences))
-                        return differences
-                    break  # one example per stanza pair is enough
         sp.annotate(differences=len(differences))
         return differences
-
-
-def _same_outcome(
-    stanza_a: Optional[RouteMapStanza], stanza_b: Optional[RouteMapStanza]
-) -> bool:
-    """True when the outcome is identical for every route, skip the cell."""
-    action_a = stanza_a.action if stanza_a is not None else "deny"
-    action_b = stanza_b.action if stanza_b is not None else "deny"
-    if action_a != action_b:
-        return False
-    if action_a == "deny":
-        return True
-    return transform_summary(stanza_a) == transform_summary(stanza_b)
-
-
-def _cell_difference(
-    cell: RouteRegion,
-    map_a: RouteMap,
-    map_b: RouteMap,
-    store: ConfigStore,
-    store_b: ConfigStore,
-    stanza_a: Optional[RouteMapStanza],
-    stanza_b: Optional[RouteMapStanza],
-) -> Optional[BehaviorDifference]:
-    route = cell.witness()
-    if route is None:
-        return None
-    result_a = eval_route_map(map_a, store, route)
-    result_b = eval_route_map(map_b, store_b, route)
-    if result_a.behaviour_key() != result_b.behaviour_key():
-        return BehaviorDifference(route, result_a, result_b)
-    # Both permitted with coincidentally equal outputs: nudge the witness.
-    if stanza_a is not None and stanza_b is not None:
-        nudged = _decoincide(
-            route, cell, transform_summary(stanza_a), transform_summary(stanza_b)
-        )
-        if nudged is not None:
-            result_a = eval_route_map(map_a, store, nudged)
-            result_b = eval_route_map(map_b, store_b, nudged)
-            if result_a.behaviour_key() != result_b.behaviour_key():
-                return BehaviorDifference(nudged, result_a, result_b)
-    return None
-
-
-# ------------------------------------------------------------------ ACLs
 
 
 def compare_filters(
@@ -308,39 +440,23 @@ def compare_filters(
     """Find packets on which the two ACLs disagree (permit vs deny)."""
     with obs.span("analysis.compare_filters", acl=acl_a.name) as sp:
         obs.count("analysis.compares")
-        reaches_a = acl_reachable_spaces(acl_a, include_implicit_deny=True)
-        reaches_b = acl_reachable_spaces(acl_b, include_implicit_deny=True)
-        differences: List[PacketDifference] = []
-        seen = set()
-        for rule_a, space_a in reaches_a:
-            action_a = rule_a.action if rule_a is not None else "deny"
-            for rule_b, space_b in reaches_b:
-                action_b = rule_b.action if rule_b is not None else "deny"
-                if action_a == action_b:
-                    continue
-                overlap = space_a.intersect(space_b)
-                packet = overlap.witness()
-                if packet is None or packet in seen:
-                    continue
-                result_a = eval_acl(acl_a, packet)
-                result_b = eval_acl(acl_b, packet)
-                if result_a.behaviour_key() == result_b.behaviour_key():
-                    continue
-                seen.add(packet)
-                differences.append(PacketDifference(packet, result_a, result_b))
-                if (
-                    max_differences is not None
-                    and len(differences) >= max_differences
-                ):
-                    sp.annotate(differences=len(differences))
-                    return differences
+        differences = compare_policies(
+            AclPolicy(acl_a), AclPolicy(acl_b), max_differences
+        )
         sp.annotate(differences=len(differences))
         return differences
 
 
 __all__ = [
+    "AclPolicy",
+    "AsPathListPolicy",
     "BehaviorDifference",
+    "CommunityListPolicy",
+    "ListEntryDifference",
+    "ListEntryResult",
     "PacketDifference",
+    "PrefixListPolicy",
+    "RouteMapPolicy",
     "compare_filters",
     "compare_route_policies",
 ]

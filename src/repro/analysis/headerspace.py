@@ -24,6 +24,7 @@ import dataclasses
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.analysis.firstmatch import reachable_cells
 from repro.perf import cache as _perf
 from repro.perf import kernels as _kernels
 from repro.config.acl import (
@@ -658,25 +659,16 @@ def acl_reachable_spaces(
 ) -> List[Tuple[Optional[AclRule], PacketSpace]]:
     """Per-rule spaces of packets that reach and match each rule.
 
-    Incremental first-match semantics: one residual space is threaded
-    through the rule list and each rule's guard is subtracted from it
-    exactly once.  Residual regions provably disjoint from a guard
-    (:func:`regions_disjoint`, interval bounding tests) pass through the
-    subtraction untouched, and repeated guard/residual pairs hit the
-    memoized region algebra — together these keep the walk near-linear
-    on real ACLs.
+    The first-match walk (:func:`repro.analysis.firstmatch.reachable_cells`)
+    threads one residual space through the rule list and subtracts each
+    rule's guard from it exactly once.  Residual regions provably
+    disjoint from a guard (:func:`regions_disjoint`, interval bounding
+    tests) pass through the subtraction untouched, and repeated
+    guard/residual pairs hit the memoized region algebra — together these
+    keep the walk near-linear on real ACLs.
     """
-    remaining = PacketSpace.universe()
-    out: List[Tuple[Optional[AclRule], PacketSpace]] = []
-    for rule in acl.rules:
-        guard = acl_guard_space(rule)
-        out.append((rule, guard.intersect(remaining)))
-        remaining = remaining.subtract(guard)
-        if remaining.is_empty():
-            remaining = PacketSpace.empty()
-    if include_implicit_deny:
-        out.append((None, remaining))
-    return out
+    cells = reachable_cells(acl.rules, acl_guard_space, PacketSpace.universe())
+    return cells if include_implicit_deny else cells[:-1]
 
 
 __all__ = [

@@ -31,13 +31,16 @@ import functools
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.analysis.firstmatch import Cell, reachable_cells
 from repro.analysis.prefixspace import PrefixAtom, PrefixSpace
 from repro.config.lists import (
     PERMIT,
     AsPathAccessList,
+    AsPathEntry,
     CommunityList,
     CommunityListEntry,
     PrefixList,
+    PrefixListEntry,
 )
 from repro.config.matches import (
     MatchAsPath,
@@ -55,6 +58,7 @@ from repro.perf import cache as _perf
 from repro.regexlib.cisco import (
     as_path_matches,
     community_matches,
+    find_as_path,
     find_community,
     literal_community_pattern,
 )
@@ -619,7 +623,122 @@ class RouteSpace:
         return " | ".join(f"({region})" for region in self.regions)
 
 
+# ------------------------------------------------------- pattern spaces
+
+
+#: One conjunction of a pattern space: (required, forbidden) patterns.
+_Term = Tuple[Tuple[str, ...], Tuple[str, ...]]
+
+
+def _merge(left: Tuple[str, ...], right: Tuple[str, ...]) -> Tuple[str, ...]:
+    return left + tuple(pattern for pattern in right if pattern not in left)
+
+
+@dataclasses.dataclass(frozen=True)
+class PatternSpace:
+    """A union of conjunctions over one regex-matched field (a DNF).
+
+    A term ``(required, forbidden)`` holds the inputs that match every
+    required pattern and no forbidden one.  Patterns keep the order in
+    which entries list them, so the terms of a subtraction, and with them
+    the witness a comparison finds first, follow the configuration and not
+    hash order.  A subclass fixes the field through :meth:`term_witness`.
+    """
+
+    terms: Tuple[_Term, ...]
+
+    @classmethod
+    def universe(cls) -> "PatternSpace":
+        return cls((((), ()),))
+
+    @classmethod
+    def requiring(cls, patterns: Sequence[str]) -> "PatternSpace":
+        return cls(((tuple(dict.fromkeys(patterns)), ()),))
+
+    def term_witness(
+        self, required: Tuple[str, ...], forbidden: Tuple[str, ...]
+    ) -> Optional[object]:
+        """An input for one term (patterns sorted), or None when empty."""
+        raise NotImplementedError
+
+    def intersect(self, other: "PatternSpace") -> "PatternSpace":
+        return type(self)(tuple(
+            (_merge(req_a, req_b), _merge(forb_a, forb_b))
+            for req_a, forb_a in self.terms
+            for req_b, forb_b in other.terms
+        ))
+
+    def complement(self) -> "PatternSpace":
+        out = type(self).universe()
+        for required, forbidden in self.terms:
+            negation = tuple(((), (p,)) for p in required) + tuple(
+                ((p,), ()) for p in forbidden
+            )
+            out = out.intersect(type(self)(negation))
+        return out
+
+    def subtract(self, other: "PatternSpace") -> "PatternSpace":
+        return self.intersect(other.complement())
+
+    @property
+    def regions(self) -> Tuple["PatternSpace", ...]:
+        """One single-term space per term."""
+        return tuple(type(self)((term,)) for term in self.terms)
+
+    def witness(self) -> Optional[object]:
+        for required, forbidden in self.terms:
+            found = self.term_witness(
+                tuple(sorted(required)), tuple(sorted(forbidden))
+            )
+            if found is not None:
+                return found
+        return None
+
+    def is_empty(self) -> bool:
+        return self.witness() is None
+
+
+class CommunitySpace(PatternSpace):
+    """Community sets; a witness holds one community per required pattern."""
+
+    def term_witness(
+        self, required: Tuple[str, ...], forbidden: Tuple[str, ...]
+    ) -> Optional[FrozenSet[str]]:
+        found = _community_witness(required, forbidden)
+        return frozenset(found) if found is not None else None
+
+
+class AsPathSpace(PatternSpace):
+    """AS paths; a witness is one ASN tuple."""
+
+    def term_witness(
+        self, required: Tuple[str, ...], forbidden: Tuple[str, ...]
+    ) -> Optional[Tuple[int, ...]]:
+        path = find_as_path(required, forbidden)
+        return tuple(path) if path is not None else None
+
+
 # ----------------------------------------------- guard translation (lists)
+
+
+def prefix_entry_space(entry: PrefixListEntry) -> PrefixSpace:
+    """The networks one prefix-list entry matches."""
+    lo, hi = entry.length_bounds()
+    return PrefixSpace.of_atom(PrefixAtom(entry.prefix, lo, hi))
+
+
+def community_entry_space(entry: CommunityListEntry) -> CommunitySpace:
+    """The community sets one community-list entry matches."""
+    if entry.regex is not None:
+        return CommunitySpace.requiring((entry.regex,))
+    return CommunitySpace.requiring(
+        [literal_community_pattern(c) for c in entry.communities]
+    )
+
+
+def as_path_entry_space(entry: AsPathEntry) -> AsPathSpace:
+    """The AS paths one as-path access-list entry matches."""
+    return AsPathSpace.requiring((entry.regex,))
 
 
 def prefix_list_space(pl: PrefixList) -> PrefixSpace:
@@ -627,8 +746,7 @@ def prefix_list_space(pl: PrefixList) -> PrefixSpace:
     remaining = PrefixSpace.universe()
     permitted = PrefixSpace.empty()
     for entry in pl.entries:
-        lo, hi = entry.length_bounds()
-        atom_space = PrefixSpace.of_atom(PrefixAtom(entry.prefix, lo, hi))
+        atom_space = prefix_entry_space(entry)
         if entry.action == PERMIT:
             permitted = permitted.union(atom_space.intersect(remaining))
         remaining = remaining.subtract(atom_space)
@@ -641,49 +759,27 @@ def prefix_list_space(pl: PrefixList) -> PrefixSpace:
 _Dnf = List[Tuple[FrozenSet[str], FrozenSet[str]]]
 
 
-def _entry_condition(entry: CommunityListEntry) -> _Dnf:
-    if entry.regex is not None:
-        return [(frozenset((entry.regex,)), frozenset())]
-    patterns = frozenset(literal_community_pattern(c) for c in entry.communities)
-    return [(patterns, frozenset())]
-
-
-def _entry_negation(entry: CommunityListEntry) -> _Dnf:
-    if entry.regex is not None:
-        return [(frozenset(), frozenset((entry.regex,)))]
+def _permitted_dnf(cells: List[Cell]) -> _Dnf:
     return [
-        (frozenset(), frozenset((literal_community_pattern(c),)))
-        for c in entry.communities
-    ]
-
-
-def _dnf_product(left: _Dnf, right: _Dnf) -> _Dnf:
-    return [
-        (lr | rr, lf | rf) for (lr, lf) in left for (rr, rf) in right
+        (frozenset(required), frozenset(forbidden))
+        for entry, space in cells
+        if entry is not None and entry.action == PERMIT
+        for required, forbidden in space.terms
     ]
 
 
 def community_list_dnf(cl: CommunityList) -> _Dnf:
     """DNF of "this community list permits the route"."""
-    permitted: _Dnf = []
-    preceding: _Dnf = [(frozenset(), frozenset())]
-    for entry in cl.entries:
-        if entry.action == PERMIT:
-            permitted.extend(_dnf_product(_entry_condition(entry), preceding))
-        negation = _entry_negation(entry)
-        preceding = _dnf_product(preceding, negation)
-    return permitted
+    return _permitted_dnf(
+        reachable_cells(cl.entries, community_entry_space, CommunitySpace.universe())
+    )
 
 
 def as_path_list_dnf(al: AsPathAccessList) -> _Dnf:
     """DNF of "this as-path access-list permits the route"."""
-    permitted: _Dnf = []
-    forbidden_so_far: FrozenSet[str] = frozenset()
-    for entry in al.entries:
-        if entry.action == PERMIT:
-            permitted.append((frozenset((entry.regex,)), forbidden_so_far))
-        forbidden_so_far = forbidden_so_far | {entry.regex}
-    return permitted
+    return _permitted_dnf(
+        reachable_cells(al.entries, as_path_entry_space, AsPathSpace.universe())
+    )
 
 
 # ---------------------------------------------- guard translation (clauses)
@@ -755,27 +851,28 @@ def route_map_reachable_spaces(
     routes; with ``include_implicit_deny`` a final ``(None, space)`` entry
     holds the routes falling through to the implicit deny.
     """
-    remaining = RouteSpace.universe()
-    out: List[Tuple[Optional[RouteMapStanza], RouteSpace]] = []
-    for stanza in route_map.stanzas:
-        guard = stanza_guard_space(stanza, store)
-        out.append((stanza, guard.intersect(remaining)))
-        remaining = remaining.subtract(guard)
-        if remaining.is_trivially_empty():
-            remaining = RouteSpace.empty()
-    if include_implicit_deny:
-        out.append((None, remaining))
-    return out
+    cells = reachable_cells(
+        route_map.stanzas,
+        lambda stanza: stanza_guard_space(stanza, store),
+        RouteSpace.universe(),
+    )
+    return cells if include_implicit_deny else cells[:-1]
 
 
 __all__ = [
     "AnalysisError",
+    "AsPathSpace",
+    "CommunitySpace",
+    "PatternSpace",
     "RouteRegion",
     "RouteSpace",
+    "as_path_entry_space",
     "as_path_list_dnf",
     "clause_space",
+    "community_entry_space",
     "community_list_dnf",
     "intern_route_region",
+    "prefix_entry_space",
     "prefix_list_space",
     "regions_cheaply_disjoint",
     "route_map_reachable_spaces",

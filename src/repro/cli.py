@@ -224,7 +224,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_list_add(args: argparse.Namespace) -> int:
     """Disambiguated insertion into a prefix-list (the §7 extension)."""
     from repro.config.lists import PrefixListEntry
-    from repro.core.listinsert import disambiguate_prefix_list_entry
+    from repro.core.disambiguator import disambiguate_prefix_list_entry
     from repro.netaddr import Ipv4Prefix
 
     store = _read_config(args.config)

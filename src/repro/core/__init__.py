@@ -28,6 +28,9 @@ from repro.core.disambiguator import (
     DisambiguationQuestion,
     DisambiguationResult,
     disambiguate_acl_rule,
+    disambiguate_as_path_entry,
+    disambiguate_community_entry,
+    disambiguate_prefix_list_entry,
     disambiguate_stanza,
 )
 from repro.core.errors import (
@@ -40,12 +43,6 @@ from repro.core.errors import (
 from repro.core.insertion import (
     insert_rule_into_acl,
     insert_stanza_into_store,
-)
-from repro.core.listinsert import (
-    ListInsertionResult,
-    disambiguate_as_path_entry,
-    disambiguate_community_entry,
-    disambiguate_prefix_list_entry,
 )
 from repro.core.oracle import (
     CountingOracle,
@@ -75,7 +72,6 @@ __all__ = [
     "DisambiguationResult",
     "FirstOptionOracle",
     "IntentOracle",
-    "ListInsertionResult",
     "RouteMapSpec",
     "ScriptedOracle",
     "SpecError",

@@ -5,14 +5,24 @@ under a fresh route-map name, plus the ancillary lists it references).
 Insertion merges the lists into the target configuration — the caller
 renames them first via :func:`repro.config.names.rename_snippet_lists` —
 and splices the stanza into the target route-map at a given position,
-renumbering sequence numbers (Fig. 2).
+renumbering sequence numbers (Fig. 2).  The §7 list entries are spliced
+into their prefix-, AS-path or community list the same way.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Tuple
 
 from repro.config.acl import Acl, AclRule
+from repro.config.lists import (
+    AsPathAccessList,
+    AsPathEntry,
+    CommunityList,
+    CommunityListEntry,
+    PrefixList,
+    PrefixListEntry,
+)
 from repro.config.routemap import RouteMap, RouteMapStanza
 from repro.config.store import ConfigStore
 
@@ -84,7 +94,44 @@ def insert_rule_into_acl(
     return merged, updated
 
 
+def insert_prefix_list_entry(
+    pl: PrefixList, entry: PrefixListEntry, position: int
+) -> PrefixList:
+    """Insert ``entry`` before index ``position``, resequencing by 10s."""
+    entries = list(pl.entries)
+    entries.insert(position, entry)
+    resequenced = tuple(
+        dataclasses.replace(e, seq=10 * (idx + 1))
+        for idx, e in enumerate(entries)
+    )
+    return PrefixList(pl.name, resequenced)
+
+
+def insert_as_path_entry(
+    al: AsPathAccessList, entry: AsPathEntry, position: int
+) -> AsPathAccessList:
+    entries = list(al.entries)
+    entries.insert(position, entry)
+    return AsPathAccessList(al.name, tuple(entries))
+
+
+def insert_community_entry(
+    cl: CommunityList, entry: CommunityListEntry, position: int
+) -> CommunityList:
+    if (entry.regex is not None) != cl.expanded and cl.entries:
+        raise ValueError(
+            f"entry kind does not match {('expanded' if cl.expanded else 'standard')} "
+            f"community-list {cl.name}"
+        )
+    entries = list(cl.entries)
+    entries.insert(position, entry)
+    return CommunityList(cl.name, tuple(entries), expanded=cl.expanded)
+
+
 __all__ = [
+    "insert_as_path_entry",
+    "insert_community_entry",
+    "insert_prefix_list_entry",
     "insert_rule_into_acl",
     "insert_stanza_into_store",
     "merge_snippet_lists",

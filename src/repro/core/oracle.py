@@ -11,10 +11,14 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, List, Protocol, Sequence, Union
 
-from repro.analysis.compare import BehaviorDifference, PacketDifference
+from repro.analysis.compare import (
+    BehaviorDifference,
+    ListEntryDifference,
+    PacketDifference,
+)
 from repro.core.errors import DisambiguationError
 
-Difference = Union[BehaviorDifference, PacketDifference]
+Difference = Union[BehaviorDifference, PacketDifference, ListEntryDifference]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -8,11 +8,12 @@ and OPTION 2 = deny.
 """
 
 from repro.analysis import (
+    AclPolicy,
+    RouteMapPolicy,
     compare_filters,
     compare_route_policies,
     eval_route_map,
-    search_filters,
-    search_route_policies,
+    search_policy,
 )
 from repro.analysis.headerspace import PacketRegion, PacketSpace
 from repro.analysis.routespace import RouteRegion, RouteSpace
@@ -213,10 +214,10 @@ class TestSearch:
         space = RouteSpace.of(
             RouteRegion(local_preference=IntervalSet.single(300))
         )
-        result = search_route_policies(self.rm, self.store, space, "permit")
-        assert result.found()
-        assert result.route.local_preference == 300
-        assert eval_route_map(self.rm, self.store, result.route).permitted()
+        route = search_policy(RouteMapPolicy(self.rm, self.store), space, "permit")
+        assert route is not None
+        assert route.local_preference == 300
+        assert eval_route_map(self.rm, self.store, route).permitted()
 
     def test_search_deny(self):
         space = RouteSpace.of(
@@ -226,9 +227,9 @@ class TestSearch:
                 )
             )
         )
-        result = search_route_policies(self.rm, self.store, space, "deny")
-        assert result.found()
-        assert not eval_route_map(self.rm, self.store, result.route).permitted()
+        route = search_policy(RouteMapPolicy(self.rm, self.store), space, "deny")
+        assert route is not None
+        assert not eval_route_map(self.rm, self.store, route).permitted()
 
     def test_search_unsatisfiable(self):
         # Routes with local-preference 300 not originating anywhere: the
@@ -241,8 +242,8 @@ class TestSearch:
                 as_path_forbidden=frozenset({"_32$"}),
             )
         )
-        result = search_route_policies(self.rm, self.store, space, "deny")
-        assert not result.found()
+        route = search_policy(RouteMapPolicy(self.rm, self.store), space, "deny")
+        assert route is None
 
     def test_search_filters(self):
         text = """
@@ -252,9 +253,9 @@ ip access-list extended A
 """
         acl = parse_config(text).acl("A")
         space = PacketSpace.of(PacketRegion(dst_ports=IntervalSet.single(22)))
-        denied = search_filters(acl, space, "deny")
-        assert denied.found()
-        assert denied.packet.dst_port == 22
-        permitted = search_filters(acl, space, "permit")
-        assert permitted.found()
-        assert not str(permitted.packet.src_ip).startswith("10.")
+        denied = search_policy(AclPolicy(acl), space, "deny")
+        assert denied is not None
+        assert denied.dst_port == 22
+        permitted = search_policy(AclPolicy(acl), space, "permit")
+        assert permitted is not None
+        assert not str(permitted.src_ip).startswith("10.")

@@ -5,17 +5,25 @@ import pytest
 from repro.config import parse_config
 from repro.config.lists import AsPathEntry, CommunityListEntry, PrefixListEntry
 from repro.core import CountingOracle, IntentOracle, ScriptedOracle
-from repro.core.disambiguator import DisambiguationMode
-from repro.core.listinsert import (
-    compare_as_path_lists,
-    compare_community_lists,
-    compare_prefix_lists,
+from repro.analysis import (
+    AsPathListPolicy,
+    CommunityListPolicy,
+    PrefixListPolicy,
+    compare_policies,
+    overlapping_entries,
+)
+from repro.core.disambiguator import (
+    DisambiguationMode,
     disambiguate_as_path_entry,
     disambiguate_community_entry,
     disambiguate_prefix_list_entry,
-    prefix_list_entry_overlaps,
 )
 from repro.netaddr import Ipv4Prefix
+
+
+def first_difference(kind, list_a, list_b):
+    differences = compare_policies(kind(list_a), kind(list_b), 1)
+    return differences[0] if differences else None
 
 
 def pl_entry(action, prefix, ge=None, le=None, seq=5):
@@ -36,7 +44,7 @@ class TestComparePrefixLists:
     def test_equivalent_lists(self):
         store = parse_config(STORE_TEXT)
         pl = store.prefix_list("EDGE")
-        assert compare_prefix_lists(pl, pl) is None
+        assert compare_policies(PrefixListPolicy(pl), PrefixListPolicy(pl)) == []
 
     def test_order_difference_found(self):
         a = parse_config(
@@ -47,7 +55,7 @@ class TestComparePrefixLists:
             "ip prefix-list L seq 10 permit 10.0.0.0/8 le 32\n"
             "ip prefix-list L seq 20 deny 10.1.0.0/16 le 32\n"
         ).prefix_list("L")
-        diff = compare_prefix_lists(a, b)
+        diff = first_difference(PrefixListPolicy, a, b)
         assert diff is not None
         network = diff.subject
         assert Ipv4Prefix.parse("10.1.0.0/16").contains_prefix(network)
@@ -59,7 +67,9 @@ class TestPrefixListInsertion:
     def test_overlaps_detected(self):
         store = parse_config(STORE_TEXT)
         entry = pl_entry("permit", "10.1.2.0/24", le=32)
-        overlaps = prefix_list_entry_overlaps(store.prefix_list("EDGE"), entry)
+        overlaps = overlapping_entries(
+            PrefixListPolicy(store.prefix_list("EDGE")), entry
+        )
         assert overlaps == [0, 1]
 
     def test_exception_above_the_deny(self):
@@ -151,7 +161,7 @@ class TestAsPathInsertion:
             "ip as-path access-list L permit _100_\n"
             "ip as-path access-list L deny _666_\n"
         ).as_path_list("L")
-        diff = compare_as_path_lists(a, b)
+        diff = first_difference(AsPathListPolicy, a, b)
         assert diff is not None
         path = diff.subject
         assert 100 in path and 666 in path
@@ -192,7 +202,7 @@ class TestCommunityInsertion:
             "ip community-list expanded L permit ^65000:\n"
             "ip community-list expanded L deny ^65000:1$\n"
         ).community_list("L")
-        diff = compare_community_lists(a, b)
+        diff = first_difference(CommunityListPolicy, a, b)
         assert diff is not None
         assert any("65000:1" == c for c in diff.subject)
 

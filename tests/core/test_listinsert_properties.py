@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from repro.config.lists import PrefixList, PrefixListEntry
 from repro.config.store import ConfigStore
 from repro.core import CountingOracle, IntentOracle
-from repro.core.listinsert import (
-    disambiguate_prefix_list_entry,
-    insert_prefix_list_entry,
-)
+from repro.core.disambiguator import disambiguate_prefix_list_entry
+from repro.core.insertion import insert_prefix_list_entry
 from repro.netaddr import Ipv4Address, Ipv4Prefix
 
 

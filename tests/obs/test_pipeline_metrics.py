@@ -7,7 +7,7 @@ import pytest
 from repro import ClarifySession, DisambiguationMode, ScriptedOracle, obs, parse_config
 from repro.bgp import Network, simulate
 from repro.core.errors import SynthesisPunt
-from repro.core.listinsert import disambiguate_prefix_list_entry
+from repro.core.disambiguator import disambiguate_prefix_list_entry
 from repro.config.lists import PrefixListEntry
 from repro.llm.faulty import FaultyLLM
 from repro.llm.simulated import SimulatedLLM

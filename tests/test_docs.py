@@ -352,6 +352,7 @@ def test_performance_doc_covers_perf_layer():
         "--perf-snapshot",
         "--campaign-tolerance",
         "parallel_2worker_s",
+        "reachable_cells",
     ):
         assert needle in text, f"PERFORMANCE.md does not mention {needle}"
 
