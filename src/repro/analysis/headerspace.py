@@ -66,8 +66,8 @@ def intern_region(region: "PacketRegion") -> "PacketRegion":
 
 
 #: Below this many region pairs, the batched kernel screens cost more
-#: (field encoding, and numpy call overhead on tiny matrices) than
-#: per-pair ``regions_disjoint`` calls save.
+#: (encoding every field, then one matrix per field) than per-pair
+#: ``regions_disjoint`` calls save.
 _MATRIX_MIN_PAIRS = 128
 
 #: The interval-bearing PacketRegion fields, in canonical order.

@@ -229,16 +229,6 @@ def spaces_cheaply_disjoint_matrix(
     return out
 
 
-def spaces_cheaply_disjoint(a: "RouteSpace", b: "RouteSpace") -> bool:
-    """Sound, incomplete disjointness of two spaces (kernel-batched).
-
-    Exactly ``all(regions_cheaply_disjoint(ra, rb) for ra in a.regions
-    for rb in b.regions)``.
-    """
-    matrix = spaces_cheaply_disjoint_matrix((a, b))
-    return bool(matrix[0][1])
-
-
 @dataclasses.dataclass(frozen=True)
 class RouteRegion:
     """A conjunctive constraint over every matchable route field."""
@@ -662,11 +652,23 @@ class PatternSpace:
         raise NotImplementedError
 
     def intersect(self, other: "PatternSpace") -> "PatternSpace":
-        return type(self)(tuple(
-            (_merge(req_a, req_b), _merge(forb_a, forb_b))
-            for req_a, forb_a in self.terms
-            for req_b, forb_b in other.terms
-        ))
+        """The pairwise term products, without empty or repeated ones.
+
+        A product that requires and forbids one pattern has no input, and
+        one with the pattern sets of an earlier product has its witness
+        (:meth:`witness` sorts the patterns), so neither can change what
+        a search finds.  Kept, they would multiply the terms of every
+        residual by each entry's pattern count.
+        """
+        terms: Dict[Tuple[FrozenSet[str], FrozenSet[str]], _Term] = {}
+        for req_a, forb_a in self.terms:
+            for req_b, forb_b in other.terms:
+                required = _merge(req_a, req_b)
+                forbidden = _merge(forb_a, forb_b)
+                key = (frozenset(required), frozenset(forbidden))
+                if key[0].isdisjoint(key[1]):
+                    terms.setdefault(key, (required, forbidden))
+        return type(self)(tuple(terms.values()))
 
     def complement(self) -> "PatternSpace":
         out = type(self).universe()
@@ -876,7 +878,6 @@ __all__ = [
     "prefix_list_space",
     "regions_cheaply_disjoint",
     "route_map_reachable_spaces",
-    "spaces_cheaply_disjoint",
     "spaces_cheaply_disjoint_matrix",
     "stanza_guard_space",
 ]

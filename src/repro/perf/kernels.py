@@ -23,86 +23,47 @@ dwarfs the comparisons themselves.  This module batches them:
 Every kernel is **exactly** equivalent to the corresponding
 ``IntervalSet`` operation — the differential suite in
 ``tests/perf/test_kernels.py`` pins that over randomized-but-seeded
-populations, with and without the numpy fast path.
+populations, on both matrix paths.
 
-Backends: when numpy is importable the matrix kernels vectorize the
-bounding-box passes; otherwise a pure-stdlib fallback runs the same
-logic with early-exit loops.  ``REPRO_KERNELS=numpy|py`` forces one
-backend (``numpy`` raises :class:`KernelBackendError` when numpy is
-missing), and :func:`use_backend` scopes a forced backend for tests.
+The matrix kernels pick one of two paths per call from the matrix
+shape.  When the short side, ``min(len(a), len(b))``, reaches
+:data:`NUMPY_MIN_SIDE` and numpy imports, numpy vectorizes the
+bounding-box passes; otherwise pure-stdlib loops run the same logic
+with early exits.  Thin matrices, such as a few regions screened
+against a long residual, are faster in the loops, because numpy's
+fixed cost per call exceeds the work it replaces.  numpy is imported
+by the first matrix that takes its path, so a process that builds none
+never loads it.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 from array import array
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.netaddr.intervals import EMPTY_SET, Interval, IntervalSet
-
-try:  # pragma: no cover - exercised via both-backend test parametrization
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - numpy-less environments (CI)
-    _numpy = None  # type: ignore[assignment]
-
-_np: Any = _numpy
 
 #: A boolean matrix as rows of 0/1 bytes: ``matrix[i][j]``.
 Matrix = List[bytearray]
 
-
-class KernelBackendError(RuntimeError):
-    """Raised when ``REPRO_KERNELS`` requests an unavailable backend."""
-
-
-_FORCED: Optional[str] = None
-
-_VALID_BACKENDS = ("numpy", "py")
-
-
-def available_backends() -> Tuple[str, ...]:
-    """The backends this process can run (``py`` is always available)."""
-    return _VALID_BACKENDS if _np is not None else ("py",)
+#: The shortest matrix side at which the numpy path is the faster one.
+#: On the matrices the overlap-audit benchmark asks for (2-vCPU host),
+#: both paths take about 36 µs a call at short sides 9-16, while at
+#: 17-32 numpy takes 51 µs against the loops' 155 µs; acl-edit's
+#: matrices, short side 2-8, run faster in the loops.
+#: ``tools/profile_regions.py`` times both paths by side.
+NUMPY_MIN_SIDE = 16
 
 
-def active_backend() -> str:
-    """The backend the kernels dispatch to right now.
-
-    Resolution order: :func:`use_backend` override, then the
-    ``REPRO_KERNELS`` environment variable (``numpy`` or ``py``), then
-    numpy-if-importable.
-    """
-    if _FORCED is not None:
-        return _FORCED
-    env = os.environ.get("REPRO_KERNELS", "").strip()
-    if env:
-        if env not in _VALID_BACKENDS:
-            raise KernelBackendError(
-                f"unknown REPRO_KERNELS value {env!r}; use 'numpy' or 'py'"
-            )
-        if env == "numpy" and _np is None:
-            raise KernelBackendError(
-                "REPRO_KERNELS=numpy but numpy is not importable"
-            )
-        return env
-    return "numpy" if _np is not None else "py"
-
-
-@contextlib.contextmanager
-def use_backend(name: str) -> Iterator[None]:
-    """Force a backend for the extent of the block (test hook)."""
-    global _FORCED
-    if name not in _VALID_BACKENDS:
-        raise KernelBackendError(f"unknown backend {name!r}")
-    if name == "numpy" and _np is None:
-        raise KernelBackendError("numpy backend requested but not importable")
-    previous = _FORCED
-    _FORCED = name
+def _numpy_for(a: "FlatSets", b: "FlatSets") -> Any:
+    """numpy when the ``a`` x ``b`` matrix should take its path, else None."""
+    if min(len(a), len(b)) < NUMPY_MIN_SIDE:
+        return None
     try:
-        yield
-    finally:
-        _FORCED = previous
+        import numpy
+    except ImportError:
+        return None
+    return numpy
 
 
 # ---------------------------------------------------------------- encoding
@@ -134,7 +95,7 @@ class FlatSets:
         self.his = his
         self.box_lo = box_lo
         self.box_hi = box_hi
-        self._arrays: Optional[Tuple[Any, Any, Any, Any]] = None
+        self._arrays: Optional[Tuple[Any, Any, Any]] = None
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -142,10 +103,6 @@ class FlatSets:
     def size(self, index: int) -> int:
         """Number of intervals in set ``index``."""
         return self.offsets[index + 1] - self.offsets[index]
-
-    def to_bytes(self) -> bytes:
-        """The endpoint arrays as one bytes blob (diagnostics, hashing)."""
-        return self.offsets.tobytes() + self.los.tobytes() + self.his.tobytes()
 
     def decode(self, index: int) -> IntervalSet:
         """Set ``index`` back as a canonical :class:`IntervalSet`."""
@@ -156,16 +113,15 @@ class FlatSets:
             )
         )
 
-    def numpy_arrays(self) -> Tuple[Any, Any, Any, Any]:
-        """``(box_lo, box_hi, sizes, offsets)`` as cached numpy arrays."""
+    def numpy_arrays(self, np: Any) -> Tuple[Any, Any, Any]:
+        """``(box_lo, box_hi, sizes)`` as numpy arrays, built once."""
         if self._arrays is None:
-            box_lo = _np.frombuffer(self.box_lo, dtype=_np.int64)
-            box_hi = _np.frombuffer(self.box_hi, dtype=_np.int64)
-            offsets = _np.frombuffer(self.offsets, dtype=_np.uint32).astype(
-                _np.int64
+            box_lo = np.frombuffer(self.box_lo, dtype=np.int64)
+            box_hi = np.frombuffer(self.box_hi, dtype=np.int64)
+            offsets = np.frombuffer(self.offsets, dtype=np.uint32).astype(
+                np.int64
             )
-            sizes = offsets[1:] - offsets[:-1]
-            self._arrays = (box_lo, box_hi, sizes, offsets)
+            self._arrays = (box_lo, box_hi, offsets[1:] - offsets[:-1])
         return self._arrays
 
 
@@ -292,9 +248,10 @@ def disjoint_matrix(a: FlatSets, b: FlatSets) -> Matrix:
     intersect iff their boxes do); only multi-interval pairs with
     overlapping boxes run the per-pair merge sweep.
     """
-    if active_backend() == "numpy":
-        return _disjoint_matrix_np(a, b)
-    return _disjoint_matrix_py(a, b)
+    np = _numpy_for(a, b)
+    if np is None:
+        return _disjoint_matrix_py(a, b)
+    return _disjoint_matrix_np(np, a, b)
 
 
 def _disjoint_matrix_py(a: FlatSets, b: FlatSets) -> Matrix:
@@ -321,9 +278,9 @@ def _disjoint_matrix_py(a: FlatSets, b: FlatSets) -> Matrix:
     return out
 
 
-def _disjoint_matrix_np(a: FlatSets, b: FlatSets) -> Matrix:
-    a_lo, a_hi, a_sizes, _ = a.numpy_arrays()
-    b_lo, b_hi, b_sizes, _ = b.numpy_arrays()
+def _disjoint_matrix_np(np: Any, a: FlatSets, b: FlatSets) -> Matrix:
+    a_lo, a_hi, a_sizes = a.numpy_arrays(np)
+    b_lo, b_hi, b_sizes = b.numpy_arrays(np)
     box_disjoint = (a_hi[:, None] < b_lo[None, :]) | (
         b_hi[None, :] < a_lo[:, None]
     )
@@ -331,8 +288,8 @@ def _disjoint_matrix_np(a: FlatSets, b: FlatSets) -> Matrix:
     disjoint = box_disjoint | empty
     both_single = (a_sizes[:, None] == 1) & (b_sizes[None, :] == 1)
     undecided = ~disjoint & ~both_single
-    result = disjoint.astype(_np.uint8)
-    for i, j in _np.argwhere(undecided):
+    result = disjoint.astype(np.uint8)
+    for i, j in np.argwhere(undecided):
         if _pair_disjoint(a, int(i), b, int(j)):
             result[i, j] = 1
     return [bytearray(result[i].tobytes()) for i in range(len(a))]
@@ -346,9 +303,10 @@ def subset_matrix(a: FlatSets, b: FlatSets) -> Matrix:
     *single-interval* target is definitely contained; the rest run the
     per-pair merge sweep.
     """
-    if active_backend() == "numpy":
-        return _subset_matrix_np(a, b)
-    return _subset_matrix_py(a, b)
+    np = _numpy_for(a, b)
+    if np is None:
+        return _subset_matrix_py(a, b)
+    return _subset_matrix_np(np, a, b)
 
 
 def _subset_matrix_py(a: FlatSets, b: FlatSets) -> Matrix:
@@ -375,9 +333,9 @@ def _subset_matrix_py(a: FlatSets, b: FlatSets) -> Matrix:
     return out
 
 
-def _subset_matrix_np(a: FlatSets, b: FlatSets) -> Matrix:
-    a_lo, a_hi, a_sizes, _ = a.numpy_arrays()
-    b_lo, b_hi, b_sizes, _ = b.numpy_arrays()
+def _subset_matrix_np(np: Any, a: FlatSets, b: FlatSets) -> Matrix:
+    a_lo, a_hi, a_sizes = a.numpy_arrays(np)
+    b_lo, b_hi, b_sizes = b.numpy_arrays(np)
     a_empty = a_sizes[:, None] == 0
     box_inside = (
         (a_lo[:, None] >= b_lo[None, :])
@@ -387,8 +345,8 @@ def _subset_matrix_np(a: FlatSets, b: FlatSets) -> Matrix:
     )
     decided_yes = a_empty | (box_inside & (b_sizes[None, :] == 1))
     undecided = box_inside & (b_sizes[None, :] > 1)
-    result = decided_yes.astype(_np.uint8)
-    for i, j in _np.argwhere(undecided):
+    result = decided_yes.astype(np.uint8)
+    for i, j in np.argwhere(undecided):
         if _pair_subset(a, int(i), b, int(j)):
             result[i, j] = 1
     return [bytearray(result[i].tobytes()) for i in range(len(a))]
@@ -449,16 +407,6 @@ def subtract_many(a: FlatSets, b: FlatSets) -> List[IntervalSet]:
 
 def _box_disjoint_vector(a: FlatSets, b: FlatSets) -> List[bool]:
     """Element-wise sound disjointness from the bounding boxes alone."""
-    if active_backend() == "numpy" and len(a) >= 64:
-        a_lo, a_hi, a_sizes, _ = a.numpy_arrays()
-        b_lo, b_hi, b_sizes, _ = b.numpy_arrays()
-        flags = (
-            (a_hi < b_lo)
-            | (b_hi < a_lo)
-            | (a_sizes == 0)
-            | (b_sizes == 0)
-        )
-        return [bool(flag) for flag in flags]
     return [
         a.size(i) == 0
         or b.size(i) == 0
@@ -469,16 +417,13 @@ def _box_disjoint_vector(a: FlatSets, b: FlatSets) -> List[bool]:
 
 
 __all__ = [
+    "NUMPY_MIN_SIDE",
     "FlatSets",
-    "KernelBackendError",
     "Matrix",
-    "active_backend",
-    "available_backends",
     "contains_vector",
     "disjoint_matrix",
     "encode",
     "intersect_many",
     "subset_matrix",
     "subtract_many",
-    "use_backend",
 ]

@@ -1,5 +1,9 @@
 """Tests for symbolic route spaces: guards, reachability, witnesses."""
 
+import itertools
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,12 +14,19 @@ from repro.analysis import (
     stanza_guard_space,
 )
 from repro.analysis.routespace import (
+    AsPathSpace,
+    CommunitySpace,
     as_path_list_dnf,
     community_list_dnf,
     prefix_list_space,
 )
 from repro.config import parse_config
 from repro.netaddr import IntervalSet, Ipv4Prefix
+from repro.regexlib.cisco import (
+    as_path_matches,
+    community_matches,
+    literal_community_pattern,
+)
 from repro.route import BgpRoute
 
 ISP_OUT = """
@@ -106,6 +117,62 @@ ip as-path access-list A permit .*
         store = parse_config(text)
         dnf = as_path_list_dnf(store.as_path_list("A"))
         assert dnf == [(frozenset({".*"}), frozenset({"_100_"}))]
+
+
+_COMMUNITIES = ("65000:1", "65000:2", "65000:3", "65001:1")
+
+#: Per kind: the patterns spaces draw from, the sample inputs, and
+#: whether one pattern holds on one input.
+_PATTERN_KINDS = {
+    "community": (
+        CommunitySpace,
+        [literal_community_pattern(c) for c in _COMMUNITIES] + ["^65000:"],
+        [
+            frozenset(chosen)
+            for size in range(3)
+            for chosen in itertools.combinations(_COMMUNITIES, size)
+        ],
+        lambda pattern, sample: any(community_matches(pattern, c) for c in sample),
+    ),
+    "as-path": (
+        AsPathSpace,
+        ["_100_", "^100_", "_200$", "^$", ".*"],
+        [(), (100,), (200,), (100, 200), (200, 100), (300,)],
+        as_path_matches,
+    ),
+}
+
+
+def _holds(space, matches, sample):
+    return any(
+        all(matches(p, sample) for p in required)
+        and not any(matches(p, sample) for p in forbidden)
+        for required, forbidden in space.terms
+    )
+
+
+class TestPatternSpaceTerms:
+    @pytest.mark.parametrize("kind", sorted(_PATTERN_KINDS))
+    def test_results_hold_no_empty_or_repeated_term(self, kind):
+        space_type, patterns, samples, matches = _PATTERN_KINDS[kind]
+        rng = random.Random(f"1421:{kind}")
+        spaces = [space_type.universe()]
+        for _ in range(5):
+            guard = space_type.requiring(rng.sample(patterns, rng.randint(1, 3)))
+            spaces += [guard, guard.complement()]
+        members = {id(space): [_holds(space, matches, s) for s in samples] for space in spaces}
+        for a in spaces:
+            in_a = members[id(a)]
+            checks = [(a.complement(), [not x for x in in_a])]
+            for b in spaces:
+                in_b = members[id(b)]
+                checks.append((a.intersect(b), [x and y for x, y in zip(in_a, in_b)]))
+                checks.append((a.subtract(b), [x and not y for x, y in zip(in_a, in_b)]))
+            for result, expected in checks:
+                keys = [(frozenset(req), frozenset(forb)) for req, forb in result.terms]
+                assert all(req.isdisjoint(forb) for req, forb in keys), result
+                assert len(set(keys)) == len(keys), result
+                assert [_holds(result, matches, s) for s in samples] == expected, result
 
 
 class TestStanzaGuards:

@@ -4,19 +4,26 @@ Every kernel in :mod:`repro.perf.kernels` claims *exact* equivalence
 with the corresponding :class:`~repro.netaddr.intervals.IntervalSet`
 operation.  This suite pins that claim over randomized-but-seeded
 populations laced with the adversarial edges (empty sets, adjacent
-intervals, single points, full-range sets), on every backend the
-process can run — the pure-stdlib sweep always, the numpy fast path
-when numpy is importable.
+intervals, single points, full-range sets), on matrices whose short
+side falls below, at and above :data:`~repro.perf.kernels.NUMPY_MIN_SIDE`,
+and on both paths: once with numpy importable (when it is installed)
+and once with its import blocked, which leaves only the pure-stdlib
+loops.
 """
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
 from repro.netaddr.intervals import EMPTY_SET, IntervalSet
 from repro.perf import kernels
+from repro.perf.kernels import NUMPY_MIN_SIDE
 
-BACKENDS = kernels.available_backends()
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 #: Universe the random populations draw from; small enough that random
 #: sets collide, overlap, and contain each other often.
@@ -49,10 +56,34 @@ def random_sets(seed, count=40):
     return out
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    with kernels.use_backend(request.param):
-        yield request.param
+#: ``(rows, columns)`` of the matrices under test: thin and square, with
+#: the short side below, at and above the numpy threshold.
+SHAPES = [
+    (2, 48),
+    (48, 2),
+    (NUMPY_MIN_SIDE - 1, NUMPY_MIN_SIDE - 1),
+    (NUMPY_MIN_SIDE, 48),
+    (NUMPY_MIN_SIDE, NUMPY_MIN_SIDE),
+    (48, 48),
+]
+
+
+def shaped_populations(seed):
+    """``(a, b)`` drawn from two seeded populations, one pair per shape."""
+    rng = random.Random(seed)
+    rows, columns = random_sets(seed), random_sets(seed + 100)
+    return [
+        (rng.sample(rows, n_rows), rng.sample(columns, n_columns))
+        for n_rows, n_columns in SHAPES
+    ]
+
+
+@pytest.fixture(params=["numpy", "py"])
+def backend(request, monkeypatch):
+    """``numpy``: as installed; ``py``: numpy's import blocked."""
+    if request.param == "py":
+        monkeypatch.setitem(sys.modules, "numpy", None)
+    return request.param
 
 
 class TestEncoding:
@@ -78,33 +109,30 @@ class TestEncoding:
 
 class TestMatrices:
     def test_disjoint_matrix_matches_intersect(self, backend):
-        a = random_sets(2)
-        b = random_sets(3)
-        flat_a, flat_b = kernels.encode(a), kernels.encode(b)
-        matrix = kernels.disjoint_matrix(flat_a, flat_b)
-        for i, va in enumerate(a):
-            for j, vb in enumerate(b):
-                expected = va.intersect(vb).is_empty()
-                assert bool(matrix[i][j]) == expected, (i, j)
+        for a, b in shaped_populations(2):
+            matrix = kernels.disjoint_matrix(kernels.encode(a), kernels.encode(b))
+            for i, va in enumerate(a):
+                for j, vb in enumerate(b):
+                    expected = va.intersect(vb).is_empty()
+                    assert bool(matrix[i][j]) == expected, (len(a), len(b), i, j)
 
     def test_subset_matrix_matches_is_subset_of(self, backend):
-        a = random_sets(4)
-        b = random_sets(5)
-        flat_a, flat_b = kernels.encode(a), kernels.encode(b)
-        matrix = kernels.subset_matrix(flat_a, flat_b)
-        for i, va in enumerate(a):
-            for j, vb in enumerate(b):
-                assert bool(matrix[i][j]) == va.is_subset_of(vb), (i, j)
+        for a, b in shaped_populations(4):
+            matrix = kernels.subset_matrix(kernels.encode(a), kernels.encode(b))
+            for i, va in enumerate(a):
+                for j, vb in enumerate(b):
+                    expected = va.is_subset_of(vb)
+                    assert bool(matrix[i][j]) == expected, (len(a), len(b), i, j)
 
     def test_self_products(self, backend):
         # The overlap hot path runs a set against itself.
-        sets = random_sets(6)
-        flat = kernels.encode(sets)
-        disjoint = kernels.disjoint_matrix(flat, flat)
-        subset = kernels.subset_matrix(flat, flat)
-        for i, value in enumerate(sets):
-            assert bool(disjoint[i][i]) == value.is_empty()
-            assert subset[i][i] == 1  # every set contains itself
+        for sets, _ in shaped_populations(6):
+            flat = kernels.encode(sets)
+            disjoint = kernels.disjoint_matrix(flat, flat)
+            subset = kernels.subset_matrix(flat, flat)
+            for i, value in enumerate(sets):
+                assert bool(disjoint[i][i]) == value.is_empty()
+                assert subset[i][i] == 1  # every set contains itself
 
 
 class TestElementwise:
@@ -139,45 +167,52 @@ class TestElementwise:
 
 
 class TestBackendSelection:
-    def test_py_backend_always_available(self):
-        assert "py" in kernels.available_backends()
+    def test_short_side_picks_the_path(self, backend):
+        pick = kernels._numpy_for  # None selects the loops
+        thin = kernels.encode(random_sets(12)[: NUMPY_MIN_SIDE - 1])
+        square = kernels.encode(random_sets(13)[:NUMPY_MIN_SIDE])
+        assert pick(thin, square) is None
+        assert pick(square, thin) is None
+        if backend == "py":
+            assert pick(square, square) is None
+        else:
+            pytest.importorskip("numpy")
+            assert pick(square, square) is not None
 
-    def test_use_backend_forces_and_restores(self):
-        before = kernels.active_backend()
-        with kernels.use_backend("py"):
-            assert kernels.active_backend() == "py"
-        assert kernels.active_backend() == before
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(kernels.KernelBackendError, match="unknown"):
-            with kernels.use_backend("fortran"):
-                pass  # pragma: no cover
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "py")
-        assert kernels.active_backend() == "py"
-        monkeypatch.setenv("REPRO_KERNELS", "fortran")
-        with pytest.raises(kernels.KernelBackendError, match="REPRO_KERNELS"):
-            kernels.active_backend()
-
-    def test_env_numpy_without_numpy_raises(self, monkeypatch):
-        if kernels._np is not None:
-            pytest.skip("numpy importable: the error path cannot trigger")
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
-        with pytest.raises(kernels.KernelBackendError, match="numpy"):
-            kernels.active_backend()
-
-    @pytest.mark.skipif(
-        "numpy" not in BACKENDS, reason="numpy not importable"
-    )
     def test_backends_agree_on_matrices(self):
+        numpy = pytest.importorskip("numpy")
         sets = random_sets(12)
+        assert len(sets) > NUMPY_MIN_SIDE
         flat = kernels.encode(sets)
-        with kernels.use_backend("py"):
-            py_disjoint = kernels.disjoint_matrix(flat, flat)
-            py_subset = kernels.subset_matrix(flat, flat)
-        with kernels.use_backend("numpy"):
-            np_disjoint = kernels.disjoint_matrix(flat, flat)
-            np_subset = kernels.subset_matrix(flat, flat)
-        assert py_disjoint == np_disjoint
-        assert py_subset == np_subset
+        assert kernels._disjoint_matrix_py(flat, flat) == kernels._disjoint_matrix_np(
+            numpy, flat, flat
+        )
+        assert kernels._subset_matrix_py(flat, flat) == kernels._subset_matrix_np(
+            numpy, flat, flat
+        )
+
+    def test_thin_matrices_leave_numpy_unloaded(self):
+        # One edit's rules against an ACL's: a fresh interpreter that
+        # imports the serving stack and asks for such a matrix never
+        # loads numpy.
+        script = (
+            "import sys\n"
+            "import repro.serve\n"
+            "from repro.netaddr.intervals import IntervalSet\n"
+            "from repro.perf import kernels\n"
+            "acl = kernels.encode([IntervalSet.closed(i, i + 3) for i in range(200)])\n"
+            "edit = kernels.encode([IntervalSet.closed(i, i + 3) for i in range(2)])\n"
+            "kernels.disjoint_matrix(acl, edit)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

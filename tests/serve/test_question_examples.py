@@ -302,30 +302,30 @@ def _expanded_entry(rng):
     return CommunityListEntry(rng.choice(("permit", "deny")), regex=rng.choice(_COMMUNITY_PATTERNS))
 
 
-def _standard_entry(rng):
+def _standard_entry(rng, most=2):
     """Literal communities in draw order, which is often not sorted."""
-    chosen = tuple(rng.sample(_COMMUNITIES, rng.randint(1, 2)))
+    chosen = tuple(rng.sample(_COMMUNITIES, rng.randint(1, most)))
     return CommunityListEntry(rng.choice(("permit", "deny")), communities=chosen)
 
 
-def _list_store(kind, rng, entries):
+def _wide_standard_entry(rng):
+    """Up to three communities: each multiplies the residual's terms."""
+    return _standard_entry(rng, most=3)
+
+
+def _list_store(kind, draw_entry, rng, entries):
     store = ConfigStore()
+    drawn = tuple(draw_entry(rng) for _ in range(entries))
     if kind == "prefix":
         store.add_prefix_list(
             PrefixList("L", tuple(
-                dataclasses.replace(_prefix_entry(rng), seq=10 * (i + 1)) for i in range(entries)
+                dataclasses.replace(entry, seq=10 * (i + 1)) for i, entry in enumerate(drawn)
             ))
         )
     elif kind == "as-path":
-        store.add_as_path_list(AsPathAccessList("L", tuple(_as_path_entry(rng) for _ in range(entries))))
-    elif kind == "expanded":
-        store.add_community_list(
-            CommunityList("L", tuple(_expanded_entry(rng) for _ in range(entries)), expanded=True)
-        )
+        store.add_as_path_list(AsPathAccessList("L", drawn))
     else:
-        store.add_community_list(
-            CommunityList("L", tuple(_standard_entry(rng) for _ in range(entries)), expanded=False)
-        )
+        store.add_community_list(CommunityList("L", drawn, expanded=kind == "expanded"))
     return store
 
 
@@ -334,10 +334,15 @@ _LIST_INSERT = {
     "as-path": (_as_path_entry, disambiguate_as_path_entry),
     "expanded": (_expanded_entry, disambiguate_community_entry),
     "standard": (_standard_entry, disambiguate_community_entry),
+    "standard-wide": (_wide_standard_entry, disambiguate_community_entry),
 }
 
 #: Lists per kind, existing entries per list, and insertions per list.
 LISTS, LIST_ENTRIES, LIST_INSERTS = 4, 3, 2
+
+#: The same for standard lists of up to three communities an entry; each
+#: community multiplies the terms of the residual that follows its entry.
+WIDE_LISTS, WIDE_LIST_ENTRIES, WIDE_LIST_INSERTS = 2, 5, 3
 
 LIST_PINS = {
     ("as-path", DisambiguationMode.FULL): (6, "589fdaf561700fe76233f39249c1abceb2756aa3e6f57cca6565598c5970abf8"),
@@ -352,6 +357,7 @@ LIST_PINS = {
     ("standard", DisambiguationMode.FULL): (5, "d940a8f522d5e42a41bcd9a4b8ef07e07a77a820e62ca44af81126add1930aff"),
     ("standard", DisambiguationMode.LINEAR): (3, "2de525d84057015ceeb30b7184ef38528ccc31fe8ce959e48c948938d67bdb5a"),
     ("standard", DisambiguationMode.TOP_BOTTOM): (3, "9bf778aae5ffa89929cc40642027b56649c7c08aa254102a94f4e15c0d334473"),
+    ("standard-wide", DisambiguationMode.FULL): (4, "a91debf1cad544784df88b2329c2128d998e5ca89ac882cd794f66b11cc83761"),
 }
 
 
@@ -361,22 +367,36 @@ def test_standard_sample_has_unsorted_entries():
     assert any(list(c) != sorted(c) for c in drawn)
 
 
-@pytest.mark.parametrize("kind", sorted(_LIST_INSERT))
-@pytest.mark.parametrize("mode", MODES, ids=lambda mode: mode.value)
-def test_list_questions_are_unchanged(kind, mode):
+def _list_questions(kind, mode, lists, entries, inserts):
+    """``(questions, digest)`` of seeded insertions into seeded lists."""
     draw_entry, insert = _LIST_INSERT[kind]
     rng = random.Random(f"{SEED}:{kind}")
     oracle = SeededOracle(SEED)
     texts = []
     questions = 0
-    for number in range(LISTS):
-        store = _list_store(kind, rng, LIST_ENTRIES)
-        for index in range(LIST_INSERTS):
+    for number in range(lists):
+        store = _list_store(kind, draw_entry, rng, entries)
+        for index in range(inserts):
             result = insert(store, "L", draw_entry(rng), oracle, mode)
             questions += result.question_count
             texts.append(_transcript(f"{kind}{number}#{index}", result, oracle))
             store = result.store
-    assert (questions, _digest(texts)) == LIST_PINS[(kind, mode)]
+    return questions, _digest(texts)
+
+
+@pytest.mark.parametrize("kind", ["as-path", "expanded", "prefix", "standard"])
+@pytest.mark.parametrize("mode", MODES, ids=lambda mode: mode.value)
+def test_list_questions_are_unchanged(kind, mode):
+    pin = LIST_PINS[(kind, mode)]
+    assert _list_questions(kind, mode, LISTS, LIST_ENTRIES, LIST_INSERTS) == pin
+
+
+def test_wide_standard_list_questions_are_unchanged():
+    mode = DisambiguationMode.FULL
+    got = _list_questions(
+        "standard-wide", mode, WIDE_LISTS, WIDE_LIST_ENTRIES, WIDE_LIST_INSERTS
+    )
+    assert got == LIST_PINS[("standard-wide", mode)]
 
 
 # (d) full difference lists on corpus policy pairs ------------------------

@@ -339,7 +339,7 @@ def test_performance_doc_covers_perf_layer():
         "fork",
         "copy-on-write",
         "calibration",
-        "REPRO_KERNELS",
+        "NUMPY_MIN_SIDE",
         "persistent",
         "serial",
         "FlatSets",

@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """Microbenchmark the batch interval kernels against per-pair baselines.
 
-Times the :mod:`repro.perf.kernels` matrix and element-wise kernels
-over a seeded random interval-set population, against the equivalent
-per-pair ``IntervalSet`` loops run under ``perf.disabled()`` (so the
-baseline pays the real per-call algebra, not a memo lookup).  Every
-backend the process can run is measured (``py`` always, ``numpy`` when
-importable), and the equivalence of outputs is asserted as the
-benchmark runs — a kernel that drifted from the algebra fails here
+Times both matrix paths of :mod:`repro.perf.kernels`, the pure-stdlib
+loops (``_disjoint_matrix_py``, ``_subset_matrix_py``) and, when numpy
+imports, the numpy path (``_disjoint_matrix_np``, ``_subset_matrix_np``),
+on square populations of side 8, 16, 32 and ``--sets``.  Each timed call
+encodes its population first, as the hot paths do per matrix, so the
+``sides`` rows show the crossover that ``kernels.NUMPY_MIN_SIDE``
+encodes.  At ``--sets`` the block also times the public kernels
+against the equivalent per-pair ``IntervalSet`` loops run under
+``perf.disabled()`` (so the baseline pays the real per-call algebra,
+not a memo lookup).  The equivalence of every output is asserted as
+the benchmark runs — a kernel that drifted from the algebra fails here
 before it misleads anyone with a fast wrong answer.
 
 The resulting ``kernels`` block is merged into
@@ -22,6 +26,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -39,9 +44,12 @@ from repro import perf  # noqa: E402
 from repro.netaddr.intervals import IntervalSet  # noqa: E402
 from repro.perf import kernels  # noqa: E402
 
-#: The population mimics the practical field universes: 32-bit address
-#: ranges with a handful of intervals per set.
-ADDRESS_HI = 0xFFFFFFFF
+#: Square matrix sides timed on both paths, besides ``--sets``.
+SIDES = (8, 16, 32)
+
+#: Calls per timed sample are scaled so each sample covers about this
+#: many matrix cells, which keeps the small sides above timer noise.
+CELLS_PER_SAMPLE = 4096
 
 DEFAULT_OUTPUT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -51,26 +59,37 @@ DEFAULT_OUTPUT = os.path.join(
 
 
 def build_population(seed: int, count: int) -> List[IntervalSet]:
-    """Seeded random interval sets shaped like ACL address fields."""
+    """Seeded interval sets shaped like ACL rule address fields.
+
+    Nine in ten are one prefix block inside 10.0.0.0/8, one interval
+    each, as ``acl_rule_region`` yields from a prefix or a port range;
+    the rest are a block with a sub-block carved out, two intervals, as
+    residual regions carry.  The first set is empty.
+    """
     rng = random.Random(seed)
     sets: List[IntervalSet] = [IntervalSet.empty()]
     while len(sets) < count:
-        pairs = []
-        for _ in range(rng.randint(1, 4)):
-            lo = rng.randint(0, ADDRESS_HI)
-            hi = min(ADDRESS_HI, lo + rng.randint(0, ADDRESS_HI // 8))
-            pairs.append((lo, hi))
-        sets.append(IntervalSet.from_pairs(pairs))
+        length = rng.randint(8, 30)
+        size = 1 << (32 - length)
+        lo = (10 << 24) + rng.randrange(0, 1 << 24, min(size, 1 << 24))
+        block = IntervalSet.closed(lo, lo + size - 1)
+        if rng.random() < 0.9:
+            sets.append(block)
+        else:
+            hole = size >> rng.randint(1, 4)
+            start = lo + rng.randrange(0, size, hole)
+            sets.append(block.subtract(IntervalSet.closed(start, start + hole - 1)))
     return sets
 
 
-def best_of(repeat: int, fn: Callable[[], Any]) -> float:
-    """The fastest of ``repeat`` timed calls (seconds)."""
+def best_of(repeat: int, fn: Callable[[], Any], number: int = 1) -> float:
+    """The fastest of ``repeat`` samples of ``number`` calls, per call (s)."""
     best = float("inf")
     for _ in range(repeat):
         started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
+        for _ in range(number):
+            fn()
+        best = min(best, (time.perf_counter() - started) / number)
     return best
 
 
@@ -80,11 +99,11 @@ def baseline_results(sets: Sequence[IntervalSet]) -> Dict[str, Any]:
     half = n // 2
     return {
         "disjoint": [
-            [sets[i].intersect(sets[j]).is_empty() for j in range(n)]
+            [int(sets[i].intersect(sets[j]).is_empty()) for j in range(n)]
             for i in range(n)
         ],
         "subset": [
-            [sets[i].is_subset_of(sets[j]) for j in range(n)]
+            [int(sets[i].is_subset_of(sets[j])) for j in range(n)]
             for i in range(n)
         ],
         "intersect": [
@@ -133,12 +152,63 @@ def time_baselines(sets: Sequence[IntervalSet], repeat: int) -> Dict[str, float]
         }
 
 
-def time_backend(
+def matrix_paths() -> Dict[str, Dict[str, Callable[..., kernels.Matrix]]]:
+    """Both implementations of each matrix kernel this process can run."""
+    paths: Dict[str, Dict[str, Callable[..., kernels.Matrix]]] = {
+        "py": {
+            "disjoint": kernels._disjoint_matrix_py,
+            "subset": kernels._subset_matrix_py,
+        }
+    }
+    try:
+        import numpy
+    except ImportError:
+        return paths
+    paths["numpy"] = {
+        "disjoint": functools.partial(kernels._disjoint_matrix_np, numpy),
+        "subset": functools.partial(kernels._subset_matrix_np, numpy),
+    }
+    return paths
+
+
+def square(
+    matrix: Callable[..., kernels.Matrix], sets: Sequence[IntervalSet]
+) -> kernels.Matrix:
+    """``matrix`` of ``sets`` against themselves, freshly encoded."""
+    flat = kernels.encode(sets)
+    return matrix(flat, flat)
+
+
+def time_sides(
+    sets: Sequence[IntervalSet], repeat: int, expected: Dict[str, Any]
+) -> List[Dict[str, Any]]:
+    """Per-call matrix timings on every path for each square side."""
+    rows: List[Dict[str, Any]] = []
+    sides = sorted({side for side in SIDES if side < len(sets)} | {len(sets)})
+    for side in sides:
+        head = sets[:side]
+        number = max(1, CELLS_PER_SAMPLE // (side * side))
+        row: Dict[str, Any] = {"side": side}
+        for path, matrices in matrix_paths().items():
+            timings: Dict[str, float] = {}
+            for name, matrix in matrices.items():
+                want = [values[:side] for values in expected[name][:side]]
+                got = [list(values) for values in square(matrix, head)]
+                assert got == want, (path, name, side)
+                timings[f"{name}_matrix_s"] = best_of(
+                    repeat, functools.partial(square, matrix, head), number
+                )
+            row[path] = timings
+        rows.append(row)
+    return rows
+
+
+def time_kernels(
     sets: Sequence[IntervalSet],
     repeat: int,
     expected: Dict[str, Any],
 ) -> Dict[str, float]:
-    """Kernel timings on the active backend; asserts exact equivalence."""
+    """The public kernels' timings; asserts exact equivalence."""
     half = len(sets) // 2
     flat = kernels.encode(sets)
     front = kernels.encode(sets[:half])
@@ -146,14 +216,10 @@ def time_backend(
 
     disjoint = kernels.disjoint_matrix(flat, flat)
     subset = kernels.subset_matrix(flat, flat)
+    assert [list(row) for row in disjoint] == expected["disjoint"]
+    assert [list(row) for row in subset] == expected["subset"]
     intersected = kernels.intersect_many(front, back)
     subtracted = kernels.subtract_many(front, back)
-    for i, row in enumerate(expected["disjoint"]):
-        for j, value in enumerate(row):
-            assert bool(disjoint[i][j]) == value, ("disjoint", i, j)
-    for i, row in enumerate(expected["subset"]):
-        for j, value in enumerate(row):
-            assert bool(subset[i][j]) == value, ("subset", i, j)
     assert intersected == expected["intersect"], "intersect_many diverged"
     assert subtracted == expected["subtract"], "subtract_many diverged"
 
@@ -175,26 +241,24 @@ def time_backend(
 
 
 def profile(seed: int, count: int, repeat: int) -> Dict[str, Any]:
-    """The full ``kernels`` block: population, baselines, per-backend."""
+    """The full ``kernels`` block: population, baselines, paths by side."""
     sets = build_population(seed, count)
     with perf.disabled():
         expected = baseline_results(sets)
     baselines = time_baselines(sets, repeat)
-    backends: Dict[str, Any] = {}
-    for name in kernels.available_backends():
-        with kernels.use_backend(name):
-            timings = time_backend(sets, repeat, expected)
-        # The matrix question the hot paths actually ask, including the
-        # one-off encode, against the same question asked per pair.
-        batched = timings["encode_s"] + timings["disjoint_matrix_s"]
-        timings["disjoint_speedup"] = round(
-            baselines["disjoint_matrix_s"] / max(batched, 1e-9), 2
-        )
-        backends[name] = timings
+    timings = time_kernels(sets, repeat, expected)
+    # The matrix question the hot paths actually ask, including the
+    # one-off encode, against the same question asked per pair.
+    batched = timings["encode_s"] + timings["disjoint_matrix_s"]
+    timings["disjoint_speedup"] = round(
+        baselines["disjoint_matrix_s"] / max(batched, 1e-9), 2
+    )
     return {
         "population": {"seed": seed, "sets": count, "repeat": repeat},
+        "numpy_min_side": kernels.NUMPY_MIN_SIDE,
         "baseline": baselines,
-        "backends": backends,
+        "kernels": timings,
+        "sides": time_sides(sets, repeat, expected),
     }
 
 
