@@ -46,12 +46,13 @@ from repro.netaddr.intervals import EMPTY_SET, Interval, IntervalSet
 #: A boolean matrix as rows of 0/1 bytes: ``matrix[i][j]``.
 Matrix = List[bytearray]
 
-#: The shortest matrix side at which the numpy path is the faster one.
-#: On the matrices the overlap-audit benchmark asks for (2-vCPU host),
-#: both paths take about 36 µs a call at short sides 9-16, while at
-#: 17-32 numpy takes 51 µs against the loops' 155 µs; acl-edit's
-#: matrices, short side 2-8, run faster in the loops.
-#: ``tools/profile_regions.py`` times both paths by side.
+#: The short side from which the numpy path runs.  Timed per call on
+#: both paths over the matrices an overlap-audit pass asks for (2-vCPU
+#: host), the loops win up to short side 12 and numpy from 13 on: 45
+#: against 86 µs at 16, 57 against 133 µs at 17-24.  acl-edit's
+#: matrices, short side 2-8, are all faster in the loops.
+#: ``tools/profile_regions.py``, which times both paths at sides 8, 16
+#: and 32, puts the crossover between 8 and 16; at 16 both agree.
 NUMPY_MIN_SIDE = 16
 
 

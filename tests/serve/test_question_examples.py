@@ -340,9 +340,10 @@ _LIST_INSERT = {
 #: Lists per kind, existing entries per list, and insertions per list.
 LISTS, LIST_ENTRIES, LIST_INSERTS = 4, 3, 2
 
-#: The same for standard lists of up to three communities an entry; each
-#: community multiplies the terms of the residual that follows its entry.
-WIDE_LISTS, WIDE_LIST_ENTRIES, WIDE_LIST_INSERTS = 2, 5, 3
+#: Kinds drawn in another shape: standard lists of up to three
+#: communities an entry, each of which multiplies the terms of the
+#: residual that follows its entry.
+LIST_SHAPES = {"standard-wide": (2, 5, 3)}
 
 LIST_PINS = {
     ("as-path", DisambiguationMode.FULL): (6, "589fdaf561700fe76233f39249c1abceb2756aa3e6f57cca6565598c5970abf8"),
@@ -367,9 +368,12 @@ def test_standard_sample_has_unsorted_entries():
     assert any(list(c) != sorted(c) for c in drawn)
 
 
-def _list_questions(kind, mode, lists, entries, inserts):
-    """``(questions, digest)`` of seeded insertions into seeded lists."""
+@pytest.mark.parametrize(
+    ("kind", "mode"), list(LIST_PINS), ids=[f"{mode.value}-{kind}" for kind, mode in LIST_PINS]
+)
+def test_list_questions_are_unchanged(kind, mode):
     draw_entry, insert = _LIST_INSERT[kind]
+    lists, entries, inserts = LIST_SHAPES.get(kind, (LISTS, LIST_ENTRIES, LIST_INSERTS))
     rng = random.Random(f"{SEED}:{kind}")
     oracle = SeededOracle(SEED)
     texts = []
@@ -381,22 +385,7 @@ def _list_questions(kind, mode, lists, entries, inserts):
             questions += result.question_count
             texts.append(_transcript(f"{kind}{number}#{index}", result, oracle))
             store = result.store
-    return questions, _digest(texts)
-
-
-@pytest.mark.parametrize("kind", ["as-path", "expanded", "prefix", "standard"])
-@pytest.mark.parametrize("mode", MODES, ids=lambda mode: mode.value)
-def test_list_questions_are_unchanged(kind, mode):
-    pin = LIST_PINS[(kind, mode)]
-    assert _list_questions(kind, mode, LISTS, LIST_ENTRIES, LIST_INSERTS) == pin
-
-
-def test_wide_standard_list_questions_are_unchanged():
-    mode = DisambiguationMode.FULL
-    got = _list_questions(
-        "standard-wide", mode, WIDE_LISTS, WIDE_LIST_ENTRIES, WIDE_LIST_INSERTS
-    )
-    assert got == LIST_PINS[("standard-wide", mode)]
+    assert (questions, _digest(texts)) == LIST_PINS[(kind, mode)]
 
 
 # (d) full difference lists on corpus policy pairs ------------------------

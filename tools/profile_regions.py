@@ -63,8 +63,8 @@ def build_population(seed: int, count: int) -> List[IntervalSet]:
 
     Nine in ten are one prefix block inside 10.0.0.0/8, one interval
     each, as ``acl_rule_region`` yields from a prefix or a port range;
-    the rest are a block with a sub-block carved out, two intervals, as
-    residual regions carry.  The first set is empty.
+    the rest are a block with a sub-block carved out, as residual
+    regions carry.  The first set is empty.
     """
     rng = random.Random(seed)
     sets: List[IntervalSet] = [IntervalSet.empty()]
@@ -76,7 +76,7 @@ def build_population(seed: int, count: int) -> List[IntervalSet]:
         if rng.random() < 0.9:
             sets.append(block)
         else:
-            hole = size >> rng.randint(1, 4)
+            hole = max(1, size >> rng.randint(1, 4))
             start = lo + rng.randrange(0, size, hole)
             sets.append(block.subtract(IntervalSet.closed(start, start + hole - 1)))
     return sets
