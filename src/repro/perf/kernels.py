@@ -56,7 +56,7 @@ Matrix = List[bytearray]
 NUMPY_MIN_SIDE = 16
 
 
-def _numpy_for(a: "FlatSets", b: "FlatSets") -> Any:
+def _numpy_for(a: FlatSets, b: FlatSets) -> Any:
     """numpy when the ``a`` x ``b`` matrix should take its path, else None."""
     if min(len(a), len(b)) < NUMPY_MIN_SIDE:
         return None
