@@ -106,9 +106,8 @@ def _journal_scope(path: Optional[str]):
     if path is None:
         yield None
         return
-    with obs.JournalRecorder(path) as journal:
-        with obs.journaling(journal):
-            yield journal
+    with obs.JournalRecorder(path) as journal, obs.scope(journal=journal):
+        yield journal
 
 
 def cmd_add(args: argparse.Namespace) -> int:
@@ -958,7 +957,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     manager = SessionManager(
         llm=stack.client,
         max_attempts=args.max_attempts,
-        journal_dir=args.journal_dir,
         session_store=store,
     )
     restored_ids: List[str] = []
@@ -998,8 +996,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # journals are fsynced per event, so this only closes files.
         exit_stack.callback(store.shutdown)
     if telemetry_on:
-        # Spans stay off: the tap times phases itself, and span trees
-        # grow without bound under a long-lived server.
+        # Spans stay off: the hub still gets every span's duration, and
+        # span trees grow without bound under a long-lived server.
         recorder = obs.Recorder(capture_spans=False)
         exit_stack.enter_context(obs.recording(recorder))
         hub = tele.install_hub(tele.TelemetryHub(sink=event_log))
@@ -1771,11 +1769,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         help="synthesis retry threshold per request (default: 3)",
-    )
-    p_serve.add_argument(
-        "--journal-dir",
-        metavar="DIR",
-        help="record one replayable journal per session under DIR",
     )
     p_serve.add_argument(
         "--backend",

@@ -21,8 +21,8 @@ sessions concurrently must serialise the cycles of each session
 ordering); *distinct* sessions may run in parallel freely: the only
 mutable state they share is the LLM client (thread-safe by contract —
 see :mod:`repro.llm.dedup`), the process-wide obs recorder (locked), and
-the ambient journal (thread-local, so each worker journals its own
-session).  Until an update's disambiguation completes, ``self.store`` is
+the journal in the request scope (per thread, so each worker journals
+its own session).  Until an update's disambiguation completes, ``self.store`` is
 never mutated — a cycle that fails (punt, deadline, error) leaves the
 session exactly as it was.
 """

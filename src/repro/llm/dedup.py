@@ -12,21 +12,23 @@ using :class:`repro.perf.cache.SingleFlight`.
 Coalescing in-flight calls is always semantics-preserving for a
 deterministic upstream (every waiter receives exactly the bytes the
 upstream would have returned it), which is what keeps the serving
-layer's serial-vs-pooled differential identity intact.  An optional
-*memo* layer (``memoize=True``, a bounded
-:class:`repro.perf.cache.Memo`) additionally reuses **completed**
-responses; leave it off when the upstream is impure — with
-:class:`~repro.llm.faulty.FaultyLLM` underneath, memoizing would pin a
-corrupted response forever and turn every retry into a guaranteed
-failure.
+layer's serial-vs-pooled differential identity intact.  Completed
+responses are never reused here: with
+:class:`~repro.llm.faulty.FaultyLLM` underneath that would pin a
+corrupted response forever.  Reuse across calls is the durable response
+cache's job (:class:`~repro.llm.respcache.CachedClient`), which stores
+only verified-pure responses.
 
 Counters (exposed as attributes and, when a recorder is active, as
 ``llm.dedup.*`` obs counters):
 
 * ``requests`` — calls into this client;
 * ``upstream_calls`` — calls that reached the inner client;
-* ``coalesced`` — calls served by another thread's in-flight call;
-* ``memo_hits`` — calls served from the completed-response memo.
+* ``coalesced`` — calls served by another thread's in-flight call.
+
+Every request either reaches upstream or is coalesced, so
+``upstream_calls + coalesced == requests`` holds exactly, whatever the
+thread timing; how a run splits between the two depends on it.
 
 Trace attribution contract (:mod:`repro.obs.telemetry`): the obs
 counters are deliberately emitted on specific threads — ``requests`` on
@@ -41,30 +43,19 @@ refactor.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro import obs
 from repro.llm.client import LLMClient
-from repro.perf.cache import Memo, SingleFlight
-
-#: Default bound for the optional completed-response memo.
-DEFAULT_MEMO_SIZE = 1 << 12
+from repro.perf.cache import SingleFlight
 
 
 class DedupClient:
     """Thread-safe wrapper deduplicating identical in-flight LLM calls."""
 
-    def __init__(
-        self,
-        inner: LLMClient,
-        memoize: bool = False,
-        memo_size: int = DEFAULT_MEMO_SIZE,
-    ) -> None:
+    def __init__(self, inner: LLMClient) -> None:
         self._inner = inner
         self._flight: SingleFlight = SingleFlight("llm.dedup")
-        self._memo: Optional[Memo] = (
-            Memo("llm.dedup.memo", memo_size) if memoize else None
-        )
         self._counter_lock = threading.Lock()
         self.requests = 0
         self.upstream_calls = 0
@@ -73,11 +64,6 @@ class DedupClient:
     def coalesced(self) -> int:
         """Calls that were fanned out from another thread's upstream call."""
         return self._flight.followers
-
-    @property
-    def memo_hits(self) -> int:
-        """Calls served from the optional completed-response memo."""
-        return self._memo.hits if self._memo is not None else 0
 
     @property
     def cache_safe(self) -> bool:
@@ -99,12 +85,7 @@ class DedupClient:
             obs.count("llm.dedup.upstream")
             return self._inner.complete(system, prompt)
 
-        if self._memo is not None:
-            memo = self._memo
-            response = self._flight.do(key, lambda: memo.lookup(key, upstream))
-        else:
-            response = self._flight.do(key, upstream)
-        return response
+        return self._flight.do(key, upstream)
 
     def stats(self) -> Dict[str, int]:
         """A snapshot of the deduplication counters."""
@@ -112,8 +93,7 @@ class DedupClient:
             "requests": self.requests,
             "upstream_calls": self.upstream_calls,
             "coalesced": self.coalesced,
-            "memo_hits": self.memo_hits,
         }
 
 
-__all__ = ["DEFAULT_MEMO_SIZE", "DedupClient"]
+__all__ = ["DedupClient"]

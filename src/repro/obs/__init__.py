@@ -24,9 +24,15 @@ trace propagation, wide-event request logs, the live Prometheus
 with multi-window burn rates) — turns a running ``clarify serve`` into
 something you can actually watch.
 
-Instrumentation is **off by default**: the active recorder is a
-:class:`NullRecorder` and every hook is a no-op, so library users pay
-nothing.  Turn it on around a region of interest::
+Every hook finds its sinks in one place (:mod:`repro.obs.recorder`):
+the process-wide recorder and telemetry hub, and the request
+:func:`scope` — one context variable holding the request's trace, its
+journal, and an optional recorder standing in for the process one.
+
+Instrumentation is **off by default**: the process recorder is a
+:class:`NullRecorder`, no hub is installed, the scope is empty, and
+every hook is a no-op, so library users pay almost nothing.  Turn it on
+around a region of interest::
 
     from repro import obs
 
@@ -60,14 +66,10 @@ from repro.obs.journal import (
     JournalRecorder,
     dumps_journal,
     event,
-    get_journal,
-    install_journal,
     journal_enabled,
-    journaling,
     loads_journal,
     read_journal,
     sha256_text,
-    uninstall_journal,
 )
 from repro.obs.metrics import Histogram
 from repro.obs.recorder import (
@@ -80,6 +82,7 @@ from repro.obs.recorder import (
     install,
     observe,
     recording,
+    scope,
     span,
     uninstall,
 )
@@ -90,13 +93,10 @@ from repro.obs.telemetry import (
     TraceContext,
     current_trace,
     follow_events,
-    get_hub,
-    hub_active,
     install_hub,
     iter_events,
     mint_trace,
     render_prometheus,
-    tracing,
     uninstall_hub,
 )
 
@@ -120,16 +120,11 @@ __all__ = [
     "enabled",
     "event",
     "follow_events",
-    "get_hub",
-    "get_journal",
     "get_recorder",
-    "hub_active",
     "install",
     "install_hub",
-    "install_journal",
     "iter_events",
     "journal_enabled",
-    "journaling",
     "loads_journal",
     "mint_trace",
     "observe",
@@ -140,6 +135,7 @@ __all__ = [
     "render_report",
     "render_span_tree",
     "run_metadata",
+    "scope",
     "sha256_text",
     "snapshot",
     "snapshot_to_recorder",
@@ -147,8 +143,6 @@ __all__ = [
     "span_from_dict",
     "span_to_dict",
     "to_json",
-    "tracing",
     "uninstall",
     "uninstall_hub",
-    "uninstall_journal",
 ]

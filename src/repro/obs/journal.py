@@ -11,15 +11,15 @@ oracle calls (see :mod:`repro.obs.replay`) and to diff two sessions
 event by event.
 
 The wiring mirrors the recorder's: instrumented library code calls the
-module-level :func:`event` hook (a no-op unless a journal is installed)
+module-level :func:`event` hook (a no-op unless a journal is in scope)
 and gates expensive payload construction on :func:`journal_enabled`.
-Harness code installs a :class:`JournalRecorder` around the region it
-wants captured::
+Harness code sets a :class:`JournalRecorder` in the request scope
+(:func:`repro.obs.scope`) around the region it wants captured::
 
     from repro import obs
 
     with obs.JournalRecorder("session.jsonl") as journal:
-        with obs.journaling(journal):
+        with obs.scope(journal=journal):
             session.request(intent, "ISP_OUT")
 
 A journal composes with a metrics recorder — install both and spans,
@@ -34,13 +34,13 @@ makes journals diffable and replay byte-for-byte checkable.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import json
 import threading
-from typing import IO, Any, Dict, Iterator, List, Optional, Union
+from typing import IO, Any, Dict, List, Optional, Union
 
+from repro.obs import recorder as _recorder
 from repro.obs.telemetry import current_trace as _current_trace
 
 #: Version of the journal event schema (the ``journal.open`` header).
@@ -268,83 +268,28 @@ def validate_journal(events: List[JournalEvent]) -> None:
             )
 
 
-# ----------------------------------------------------- the active journal
+# ------------------------------------------------------------------ hooks
 #
-# Two layers, mirroring how sessions are served: a *process default*
-# (:func:`install_journal`) and a *thread-local override*
-# (:func:`journaling`).  Single-threaded harness code behaves exactly as
-# before — the override shadows the default within the ``with`` block —
-# while the serving layer (:mod:`repro.serve`) gives every worker thread
-# its own override, so concurrent sessions journal independently instead
-# of interleaving their events into one stream (which would break the
-# byte-for-byte replay guarantee).
-
-_default_journal: Optional[JournalRecorder] = None
-_local = threading.local()
-
-
-def get_journal() -> Optional[JournalRecorder]:
-    """The journal this thread's events flow to, or ``None``.
-
-    The thread-local override (set by :func:`journaling`) wins; with no
-    override the process default (set by :func:`install_journal`)
-    applies.
-    """
-    override = getattr(_local, "journal", None)
-    if override is not None:
-        return override
-    return _default_journal
-
-
-def install_journal(
-    journal: Optional[JournalRecorder] = None,
-) -> JournalRecorder:
-    """Make ``journal`` (a fresh in-memory one by default) the process default."""
-    global _default_journal
-    recorder = journal if journal is not None else JournalRecorder()
-    _default_journal = recorder
-    return recorder
-
-
-def uninstall_journal() -> None:
-    """Drop the process-default journal (events become no-ops again)."""
-    global _default_journal
-    _default_journal = None
-
-
-@contextlib.contextmanager
-def journaling(
-    journal: Optional[JournalRecorder] = None,
-) -> Iterator[JournalRecorder]:
-    """Activate a journal for the dynamic extent of a ``with`` block.
-
-    The activation is **thread-local**: only the current thread's events
-    flow to ``journal``, so concurrent workers can each journal their own
-    session (see :mod:`repro.serve`).  On exit the previous override (or
-    the process default) is restored.
-    """
-    recorder = journal if journal is not None else JournalRecorder()
-    previous = getattr(_local, "journal", None)
-    _local.journal = recorder
-    try:
-        yield recorder
-    finally:
-        _local.journal = previous
+# The journal lives in the request scope (:func:`repro.obs.scope`), which
+# is per thread: the serving layer (:mod:`repro.serve`) sets each
+# session's journal around each of its requests, so concurrent sessions
+# journal independently instead of interleaving their events into one
+# stream (which would break the byte-for-byte replay guarantee).
 
 
 def journal_enabled() -> bool:
-    """True when a journal is active for the current thread.
+    """True when a journal is in this thread's scope.
 
     Instrumentation gates *expensive payload construction* (rendering a
     configuration, formatting a differential example) on this; the
     :func:`event` hook itself is already a no-op without a journal.
     """
-    return get_journal() is not None
+    return _recorder._scope.get().journal is not None
 
 
 def event(type_: str, **data: Any) -> None:
-    """Record an event on the active journal (no-op by default)."""
-    journal = get_journal()
+    """Record an event on the journal in scope (no-op by default)."""
+    journal = _recorder._scope.get().journal
     if journal is not None:
         journal.event(type_, **data)
 
@@ -357,13 +302,9 @@ __all__ = [
     "JournalRecorder",
     "dumps_journal",
     "event",
-    "get_journal",
-    "install_journal",
     "journal_enabled",
-    "journaling",
     "loads_journal",
     "read_journal",
     "sha256_text",
-    "uninstall_journal",
     "validate_journal",
 ]

@@ -1,4 +1,4 @@
-"""Span recording and the process-wide recorder registry.
+"""Span recording, and the one place instrumentation hooks find their sinks.
 
 The model follows the usual tracing shape at its smallest useful size:
 
@@ -10,9 +10,24 @@ The model follows the usual tracing shape at its smallest useful size:
   the registry is guarded by a lock;
 * a :class:`NullRecorder` is the default — every instrumentation hook in
   the library goes through the module-level :func:`span` / :func:`count`
-  / :func:`observe` helpers, which dispatch to the *active* recorder, so
-  with nothing installed the cost of an instrumented call site is one
-  no-op method call and no allocation.
+  / :func:`observe` helpers, so with nothing installed the cost of an
+  instrumented call site is one context-variable read, one no-op method
+  call and no allocation.
+
+Every hook — these three, :func:`repro.obs.journal.event` and the
+telemetry helpers — finds its sinks in one place, in two parts:
+
+* **process-wide**: the recorder (:func:`install`, :func:`recording`)
+  and the telemetry hub (:func:`repro.obs.telemetry.install_hub`),
+  installed from one thread and fed from every thread;
+* **per request**: the :func:`scope`, one context variable holding the
+  request's trace, its journal, and an optional recorder that stands in
+  for the process one (a campaign chunk's private recorder).  Each
+  thread starts with an empty scope.
+
+A span is timed once; that one duration goes to the recorder (span tree,
+``span.<name>`` histogram, or both) and to the hub's phase bucket for the
+scope's trace, so the two views cannot disagree.
 
 Instrumented code must never import ``Recorder`` directly; it calls the
 helpers.  Harness code (the CLI, tests, benchmarks) installs a real
@@ -28,11 +43,16 @@ recorder around the region it wants to measure::
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.obs.metrics import Histogram
+
+if TYPE_CHECKING:  # annotations only: both modules import this one
+    from repro.obs.journal import JournalRecorder
+    from repro.obs.telemetry import TelemetryHub, TraceContext
 
 Number = Union[int, float]
 
@@ -81,7 +101,8 @@ class Span:
 
 
 class _NullSpan:
-    """The no-op span handed out when no recorder is active."""
+    """The no-op span: handed out when no sink wants the span, and
+    entered in place of a :class:`Span` when none is captured."""
 
     __slots__ = ()
 
@@ -103,74 +124,66 @@ _NULL_SPAN = _NullSpan()
 
 
 class _ActiveSpan:
-    """Context manager that opens a :class:`Span` on a recorder."""
+    """Times one span once and hands the duration to every sink.
 
-    __slots__ = ("_recorder", "_name", "_attrs", "_span")
+    The recorder gets a :class:`Span` in its tree when it captures spans
+    and a ``span.<name>`` observation when it times them; the hub, when
+    one is given, gets the same duration for ``trace``'s phase bucket.
+    """
 
-    def __init__(self, recorder: "Recorder", name: str, attrs: Dict[str, Any]) -> None:
+    __slots__ = ("_recorder", "_name", "_attrs", "_hub", "_trace", "_span", "_start")
+
+    def __init__(
+        self,
+        recorder: Union["Recorder", "NullRecorder"],
+        name: str,
+        attrs: Dict[str, Any],
+        hub: Optional["TelemetryHub"] = None,
+        trace: Optional["TraceContext"] = None,
+    ) -> None:
         self._recorder = recorder
         self._name = name
         self._attrs = attrs
+        self._hub = hub
+        self._trace = trace
         self._span: Optional[Span] = None
-
-    def __enter__(self) -> Span:
-        span = Span(self._name, self._attrs)
-        span.start = time.perf_counter()
-        stack = self._recorder._span_stack()
-        if stack:
-            stack[-1].children.append(span)
-        else:
-            with self._recorder._lock:
-                self._recorder.roots.append(span)
-        stack.append(span)
-        self._span = span
-        return span
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
-        span = self._span
-        assert span is not None
-        span.end = time.perf_counter()
-        if exc_type is not None:
-            span.attrs.setdefault("error", exc_type.__name__)
-        stack = self._recorder._span_stack()
-        if stack and stack[-1] is span:
-            stack.pop()
-        if self._recorder.time_spans:
-            self._recorder.observe(f"span.{span.name}", span.end - span.start)
-        return False
-
-
-class _TimerSpan:
-    """Duration-only span: no tree, just a ``span.<name>`` observation.
-
-    Handed out when the recorder runs with ``capture_spans=False`` but
-    ``time_spans=True`` — the benchmark harness's configuration, where
-    per-phase durations matter but an unbounded span forest would not.
-    """
-
-    __slots__ = ("_recorder", "_name", "_start")
-
-    name: Optional[str] = None
-    children: Tuple[()] = ()
-    duration_s: Optional[float] = None
-
-    def __init__(self, recorder: "Recorder", name: str) -> None:
-        self._recorder = recorder
-        self._name = name
         self._start = 0.0
 
-    def __enter__(self) -> "_TimerSpan":
+    def __enter__(self) -> Union[Span, _NullSpan]:
+        recorder = self._recorder
+        if recorder.capture_spans:
+            span = self._span = Span(self._name, self._attrs)
+            stack = recorder._span_stack()
+            if stack:
+                stack[-1].children.append(span)
+            else:
+                with recorder._lock:
+                    recorder.roots.append(span)
+            stack.append(span)
+            if self._hub is not None:
+                self._hub.span_open(self._trace, span)
+            self._start = span.start = time.perf_counter()
+            return span
         self._start = time.perf_counter()
-        return self
+        return _NULL_SPAN
 
-    def __exit__(self, *exc: Any) -> bool:
-        self._recorder.observe(
-            f"span.{self._name}", time.perf_counter() - self._start
-        )
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
+        end = time.perf_counter()
+        duration = end - self._start
+        recorder = self._recorder
+        span = self._span
+        if span is not None:
+            span.end = end
+            if exc_type is not None:
+                span.attrs.setdefault("error", exc_type.__name__)
+            stack = recorder._span_stack()
+            if stack and stack[-1] is span:
+                stack.pop()
+        if recorder.time_spans:
+            recorder.observe(f"span.{self._name}", duration)
+        if self._hub is not None:
+            self._hub.span_close(self._trace, self._name, duration)
         return False
-
-    def annotate(self, **attrs: Any) -> None:
-        pass
 
 
 class Recorder:
@@ -203,11 +216,9 @@ class Recorder:
 
     # ------------------------------------------------------------ recording
 
-    def span(self, name: str, /, **attrs: Any):
+    def span(self, name: str, /, **attrs: Any) -> Union[_ActiveSpan, _NullSpan]:
         """Open a child span of the current thread's innermost span."""
-        if not self.capture_spans:
-            if self.time_spans:
-                return _TimerSpan(self, name)
+        if not (self.capture_spans or self.time_spans):
             return _NULL_SPAN
         return _ActiveSpan(self, name, attrs)
 
@@ -272,61 +283,79 @@ class NullRecorder:
         pass
 
 
+# ------------------------------------------------------------------ sinks
+#
+# Three slots: the process recorder, the process hub, and the request
+# scope.  Hooks read them at call time, so importing hooks early is safe.
+
 _NULL_RECORDER = NullRecorder()
 _active: Union[Recorder, NullRecorder] = _NULL_RECORDER
-
-# The telemetry tap: an object with ``count`` / ``observe`` /
-# ``span_close`` methods (see ``repro.obs.telemetry.TelemetryHub``) that
-# shadows every module-level instrumentation call so per-request
-# attribution works even when no metrics recorder is installed.  With no
-# tap the added cost per call site is a single ``None`` check.
-_tap: Optional[Any] = None
+#: Set by :func:`repro.obs.telemetry.install_hub`.
+_hub: Optional["TelemetryHub"] = None
 
 
-def _install_tap(tap: Optional[Any]) -> None:
-    """Register (or clear, with ``None``) the telemetry tap."""
-    global _tap
-    _tap = tap
+class _Scope:
+    """One request's sinks: its trace, journal, and stand-in recorder."""
+
+    __slots__ = ("trace", "journal", "recorder")
+
+    def __init__(
+        self,
+        trace: Optional["TraceContext"],
+        journal: Optional["JournalRecorder"],
+        recorder: Optional[Recorder],
+    ) -> None:
+        self.trace = trace
+        self.journal = journal
+        self.recorder = recorder
 
 
-class _TapSpan:
-    """Wraps a span handle to time it for the telemetry tap.
+_scope: "contextvars.ContextVar[_Scope]" = contextvars.ContextVar(
+    "repro_obs_scope", default=_Scope(None, None, None)
+)
 
-    The wrapper times the span with its own clock so durations reach the
-    tap even when the active recorder is a :class:`NullRecorder` (the
-    ``clarify serve --metrics-port`` configuration records metrics but
-    not span forests).
+#: Default of every :func:`scope` field: keep the enclosing scope's value.
+_INHERIT: Any = object()
+
+
+@contextlib.contextmanager
+def scope(
+    trace: Optional["TraceContext"] = _INHERIT,
+    journal: Optional["JournalRecorder"] = _INHERIT,
+    recorder: Optional[Recorder] = _INHERIT,
+) -> Iterator[None]:
+    """Set the request scope for the dynamic extent of a ``with`` block.
+
+    A field that is not passed is inherited from the enclosing scope;
+    ``None`` switches it off.  The scope is per thread (a
+    :mod:`contextvars` set/reset pair): service workers each carry their
+    own request's trace and journal.  ``recorder`` receives this
+    thread's spans, counters and observations instead of the process
+    recorder, which is how a campaign chunk keeps its counters private
+    without hiding other threads' counts from the process recorder.
     """
-
-    __slots__ = ("_inner", "_name", "_tap", "_start")
-
-    def __init__(self, inner: Any, name: str, tap: Any) -> None:
-        self._inner = inner
-        self._name = name
-        self._tap = tap
-        self._start = 0.0
-
-    def __enter__(self) -> Any:
-        self._start = time.perf_counter()
-        span = self._inner.__enter__()
-        self._tap.span_open(span)
-        return span
-
-    def __exit__(self, *exc: Any) -> bool:
-        suppressed = bool(self._inner.__exit__(*exc))
-        self._tap.span_close(
-            self._name, time.perf_counter() - self._start
+    outer = _scope.get()
+    token = _scope.set(
+        _Scope(
+            outer.trace if trace is _INHERIT else trace,
+            outer.journal if journal is _INHERIT else journal,
+            outer.recorder if recorder is _INHERIT else recorder,
         )
-        return suppressed
+    )
+    try:
+        yield
+    finally:
+        _scope.reset(token)
 
 
 def get_recorder() -> Union[Recorder, NullRecorder]:
-    """The recorder instrumentation currently dispatches to."""
-    return _active
+    """The recorder instrumentation on this thread dispatches to."""
+    recorder = _scope.get().recorder
+    return _active if recorder is None else recorder
 
 
 def install(recorder: Optional[Recorder] = None) -> Recorder:
-    """Make ``recorder`` (a fresh one by default) the active recorder."""
+    """Make ``recorder`` (a fresh one by default) the process recorder."""
     global _active
     rec = recorder if recorder is not None else Recorder()
     _active = rec
@@ -343,7 +372,7 @@ def uninstall() -> None:
 def recording(
     recorder: Optional[Recorder] = None,
 ) -> Iterator[Recorder]:
-    """Activate a recorder for the dynamic extent of a ``with`` block."""
+    """Install a process recorder for the dynamic extent of a ``with`` block."""
     global _active
     rec = recorder if recorder is not None else Recorder()
     previous = _active
@@ -354,35 +383,37 @@ def recording(
         _active = previous
 
 
-# Module-level hooks: what instrumented library code calls.  They read
-# the active recorder at call time, so importing them early is safe.
+# Module-level hooks: what instrumented library code calls.  Each reads
+# the scope once.
 
 
-def span(name: str, /, **attrs: Any):
-    """Open a span on the active recorder (no-op span by default)."""
-    handle = _active.span(name, **attrs)
-    if _tap is not None:
-        return _TapSpan(handle, name, _tap)
-    return handle
+def span(name: str, /, **attrs: Any) -> Union[_ActiveSpan, _NullSpan]:
+    """Open a span on the sinks in scope (the no-op span by default)."""
+    current = _scope.get()
+    recorder = _active if current.recorder is None else current.recorder
+    hub = _hub if current.trace is not None else None
+    if hub is None and not (recorder.capture_spans or recorder.time_spans):
+        return _NULL_SPAN
+    return _ActiveSpan(recorder, name, attrs, hub, current.trace)
 
 
 def count(name: str, value: Number = 1) -> None:
-    """Bump a counter on the active recorder (no-op by default)."""
-    _active.count(name, value)
-    if _tap is not None:
-        _tap.count(name, value)
+    """Bump a counter on the recorder in scope, and on the scope's trace."""
+    current = _scope.get()
+    (_active if current.recorder is None else current.recorder).count(name, value)
+    if current.trace is not None and _hub is not None:
+        _hub.count(current.trace, name, value)
 
 
 def observe(name: str, value: Number) -> None:
-    """Record a histogram observation on the active recorder."""
-    _active.observe(name, value)
-    if _tap is not None:
-        _tap.observe(name, value)
+    """Record a histogram observation on the recorder in scope."""
+    current = _scope.get()
+    (_active if current.recorder is None else current.recorder).observe(name, value)
 
 
 def enabled() -> bool:
-    """True when a real recorder is active."""
-    return _active is not _NULL_RECORDER
+    """True when a real recorder is in scope."""
+    return get_recorder() is not _NULL_RECORDER
 
 
 __all__ = [
@@ -395,6 +426,7 @@ __all__ = [
     "install",
     "observe",
     "recording",
+    "scope",
     "span",
     "uninstall",
 ]

@@ -298,7 +298,7 @@ def replay_journal(events: Sequence[JournalEvent]) -> ReplayResult:
     reports: List[Any] = []
     divergence: Optional[Divergence] = None
 
-    with obs.journaling(replay_record):
+    with obs.scope(journal=replay_record):
         for cycle in cycles:
             start = cycle[0]
             data = start.data

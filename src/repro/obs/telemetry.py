@@ -3,20 +3,20 @@
 Three pieces, layered over :mod:`repro.obs.recorder`:
 
 * **trace context** — a :class:`TraceContext` (``trace_id`` /
-  ``request_id`` / ``session_id``) carried in a :mod:`contextvars`
-  variable.  :meth:`repro.serve.service.ClarifyService.submit` mints one
-  per request at admission; the worker thread re-activates it
-  (:func:`tracing`) around the cycle, and
-  :func:`repro.perf.campaign.run_campaign` forwards it into pool
-  workers.  Every span, counter delta, journal event, and remote LLM
-  call made while a trace is active correlates back to the originating
-  request;
+  ``request_id`` / ``session_id``) carried in the request scope
+  (:func:`repro.obs.scope`).  :meth:`repro.serve.service.ClarifyService.submit`
+  mints one per request at admission; the worker thread sets it in the
+  scope around the cycle, and :func:`repro.perf.campaign.run_campaign`
+  forwards it into pool workers.  Every span, counter delta, journal
+  event, and remote LLM call made while a trace is in scope correlates
+  back to the originating request;
 * **wide events** — a :class:`TelemetryHub` accumulates per-trace
-  activity (counter deltas via the recorder tap, span durations bucketed
-  into pipeline phases, layer annotations like the backend chosen or the
-  cache disposition) and, on :meth:`TelemetryHub.finish`, flattens it
-  into exactly **one** JSONL event per request: the canonical record a
-  single request leaves behind, whatever its outcome;
+  activity (the counter deltas and span durations the obs hooks hand it
+  with the scope's trace, spans bucketed into pipeline phases, and layer
+  annotations like the backend chosen or the cache disposition) and, on
+  :meth:`TelemetryHub.finish`, flattens it into exactly **one** JSONL
+  event per request: the canonical record a single request leaves
+  behind, whatever its outcome;
 * **live export** — :func:`render_prometheus` renders the installed
   :class:`~repro.obs.recorder.Recorder` in the Prometheus text
   exposition format, :class:`MetricsServer` serves it on a stdlib-HTTP
@@ -28,13 +28,11 @@ Everything stays **byte-invisible to fingerprinted outputs**: trace ids
 are excluded from :meth:`~repro.serve.service.ServeResponse.outcome_key`,
 journal events carry the trace *outside* the replay-compared payload,
 and wide events carry no wall-clock timestamps.  With no hub installed
-the per-call cost is one ``None`` check.
+a hook pays one ``None`` check for it.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import dataclasses
 import json
 import os
@@ -108,14 +106,9 @@ class TraceContext:
         }
 
 
-_current: "contextvars.ContextVar[Optional[TraceContext]]" = (
-    contextvars.ContextVar("clarify_trace", default=None)
-)
-
-
 def current_trace() -> Optional[TraceContext]:
-    """The trace active on this thread, or ``None``."""
-    return _current.get()
+    """The trace in this thread's scope, or ``None``."""
+    return _recorder._scope.get().trace
 
 
 def mint_trace(
@@ -128,22 +121,6 @@ def mint_trace(
         request_id=request_id if request_id else f"req-{trace_id[:12]}",
         session_id=session_id,
     )
-
-
-@contextlib.contextmanager
-def tracing(trace: Optional[TraceContext]) -> Iterator[Optional[TraceContext]]:
-    """Activate ``trace`` for the dynamic extent of a ``with`` block.
-
-    The activation is per-thread (a :mod:`contextvars` set/reset pair),
-    so pool workers each carry their own request's identity.  ``None``
-    deactivates any inherited trace, which is what campaign chunk
-    workers run under when the caller had no trace.
-    """
-    token = _current.set(trace)
-    try:
-        yield trace
-    finally:
-        _current.reset(token)
 
 
 # ------------------------------------------------------------ wide events
@@ -183,9 +160,9 @@ def _dispositions(counters: Dict[str, float]) -> Dict[str, str]:
 class TelemetryHub:
     """Aggregates per-trace activity into one wide event per request.
 
-    Installed via :func:`install_hub`, the hub doubles as the recorder
-    tap: module-level :func:`repro.obs.count` / :func:`repro.obs.span`
-    calls made while a trace is active are attributed to that trace.
+    Installed via :func:`install_hub`, the hub is one of the sinks the
+    obs hooks find: :func:`repro.obs.count` / :func:`repro.obs.span`
+    calls made while a trace is in scope are attributed to that trace.
     Events are retained in memory (``.events``, bounded by
     ``max_events``) and, when ``sink`` is a path or text handle,
     streamed as JSONL — one line per finished request.
@@ -285,12 +262,13 @@ class TelemetryHub:
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
-    # ------------------------------------------------------- recorder tap
+    # ------------------------------------------------------------ obs hooks
 
-    def count(self, name: str, value: Union[int, float]) -> None:
-        """Recorder tap: attribute a counter delta to the active trace."""
-        trace = _current.get()
-        if trace is None or not name.startswith(TRACKED_COUNTER_PREFIXES):
+    def count(
+        self, trace: TraceContext, name: str, value: Union[int, float]
+    ) -> None:
+        """Attribute a tracked counter delta to ``trace``."""
+        if not name.startswith(TRACKED_COUNTER_PREFIXES):
             return
         with self._lock:
             acc = self._active.get(trace.trace_id)
@@ -298,21 +276,16 @@ class TelemetryHub:
                 acc.counters[name] = acc.counters.get(name, 0) + value
 
     def observe(self, name: str, value: Union[int, float]) -> None:
-        """Recorder tap: histogram observations need no per-trace state."""
+        """Histogram observations need no per-trace state (no hook calls this)."""
 
-    def span_open(self, span: Any) -> None:
-        """Recorder tap: stamp the active trace onto a captured span."""
-        trace = _current.get()
-        if trace is not None:
-            span.annotate(
-                trace_id=trace.trace_id, request_id=trace.request_id
-            )
+    def span_open(self, trace: TraceContext, span: Any) -> None:
+        """Stamp ``trace`` onto a captured span."""
+        span.annotate(trace_id=trace.trace_id, request_id=trace.request_id)
 
-    def span_close(self, name: str, duration_s: float) -> None:
-        """Recorder tap: bucket a span duration into its pipeline phase."""
-        trace = _current.get()
-        if trace is None:
-            return
+    def span_close(
+        self, trace: TraceContext, name: str, duration_s: float
+    ) -> None:
+        """Bucket a span duration into ``trace``'s pipeline phase."""
         phase = phase_of(name)
         if phase is None:
             return
@@ -322,48 +295,27 @@ class TelemetryHub:
                 acc.phases[phase] = acc.phases.get(phase, 0.0) + duration_s
 
 
-_hub: Optional[TelemetryHub] = None
-
-
-def get_hub() -> Optional[TelemetryHub]:
-    """The installed hub, or ``None`` (telemetry off)."""
-    return _hub
-
-
 def install_hub(hub: Optional[TelemetryHub] = None) -> TelemetryHub:
-    """Make ``hub`` (a fresh in-memory one by default) process-active.
+    """Make ``hub`` (a fresh in-memory one by default) the process hub.
 
-    Installing the hub also registers it as the recorder tap, so counter
-    deltas and span durations start flowing to the active trace.
+    From then on, counter deltas and span durations made while a trace
+    is in scope flow to it.
     """
-    global _hub
     active = hub if hub is not None else TelemetryHub()
-    _hub = active
-    _recorder._install_tap(active)
+    _recorder._hub = active
     return active
 
 
 def uninstall_hub() -> None:
-    """Deactivate telemetry: drop the hub and the recorder tap."""
-    global _hub
-    _hub = None
-    _recorder._install_tap(None)
-
-
-@contextlib.contextmanager
-def hub_active(hub: Optional[TelemetryHub] = None) -> Iterator[TelemetryHub]:
-    """Install a hub for the dynamic extent of a ``with`` block."""
-    active = install_hub(hub)
-    try:
-        yield active
-    finally:
-        uninstall_hub()
+    """Deactivate telemetry: drop the process hub."""
+    _recorder._hub = None
 
 
 def begin_request(trace: TraceContext, **fields: Any) -> None:
     """Hub ``begin`` when telemetry is on; free no-op otherwise."""
-    if _hub is not None:
-        _hub.begin(trace, **fields)
+    hub = _recorder._hub
+    if hub is not None:
+        hub.begin(trace, **fields)
 
 
 def finish_request(
@@ -374,9 +326,10 @@ def finish_request(
     **fields: Any,
 ) -> Optional[Dict[str, Any]]:
     """Hub ``finish`` when telemetry is on; free no-op otherwise."""
-    if _hub is None:
+    hub = _recorder._hub
+    if hub is None:
         return None
-    return _hub.finish(
+    return hub.finish(
         trace,
         outcome,
         latency_s,
@@ -387,9 +340,9 @@ def finish_request(
 
 def annotate(**fields: Any) -> None:
     """Attach fields to the current trace's wide event (no-op without)."""
-    if _hub is None:
-        return
-    _hub.note(_current.get(), **fields)
+    hub = _recorder._hub
+    if hub is not None:
+        hub.note(current_trace(), **fields)
 
 
 # ----------------------------------------------------- prometheus export
@@ -624,13 +577,10 @@ __all__ = [
     "current_trace",
     "finish_request",
     "follow_events",
-    "get_hub",
-    "hub_active",
     "install_hub",
     "iter_events",
     "mint_trace",
     "phase_of",
     "render_prometheus",
-    "tracing",
     "uninstall_hub",
 ]

@@ -172,18 +172,20 @@ def _run_chunk(
 
     Runs in a worker process (or in-process for the serial fallback —
     the code path is deliberately the same).  Caches are cleared first
-    and a private recorder captures the chunk's counters, so the return
-    value is a pure function of ``(kind, payloads, context)``.
+    and a private recorder in this thread's scope captures the chunk's
+    counters (other threads keep counting into the process recorder),
+    so the return value is a pure function of ``(kind, payloads,
+    context)``.
 
     ``trace`` is the originating request's
-    :class:`~repro.obs.telemetry.TraceContext`, re-activated inside the
-    worker so anything trace-aware a task touches (a remote LLM call
-    stamping its trace header, a journal event) still correlates back
-    to the request that launched the campaign.
+    :class:`~repro.obs.telemetry.TraceContext`, set in the worker's scope
+    so anything trace-aware a task touches (a remote LLM call stamping
+    its trace header, a journal event) still correlates back to the
+    request that launched the campaign.
     """
     fn = _TASKS[kind]
     recorder = obs.Recorder(capture_spans=False)
-    with telemetry.tracing(trace), _perf.isolated(), obs.recording(recorder):
+    with obs.scope(trace=trace, recorder=recorder), _perf.isolated():
         before = _perf.cache_totals()
         results = [fn(payload, context) for payload in payloads]
         _perf.publish_counters(before)
@@ -370,7 +372,7 @@ def run_campaign(
         results.extend(chunk_results)
         for name, value in counters.items():
             merged[name] = merged.get(name, 0) + value
-    with telemetry.tracing(republish_trace):
+    with obs.scope(trace=republish_trace):
         for name in sorted(merged):
             obs.count(name, merged[name])
     return CampaignResult(

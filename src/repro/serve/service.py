@@ -38,7 +38,6 @@ from repro.core.budget import TimeBudget
 from repro.core.errors import ClarifyError, DeadlineExceeded, SynthesisPunt
 from repro.core.workflow import UpdateReport
 from repro.obs import telemetry
-from repro.obs.journal import journaling
 from repro.obs.telemetry import TraceContext
 from repro.serve.session import ManagedSession, SessionManager
 
@@ -300,7 +299,7 @@ class ClarifyService:
         if rejection is not None:
             rejection.trace = trace
             elapsed = time.perf_counter() - started
-            with telemetry.tracing(trace):
+            with obs.scope(trace=trace):
                 telemetry.begin_request(trace, seq=-1)
                 obs.count("serve.rejected")
                 obs.count("serve.outcome.rejected")
@@ -326,7 +325,7 @@ class ClarifyService:
             handle.submitted_seq += 1
         ticket = Ticket(request, seq)
         telemetry.begin_request(trace, seq=seq)
-        with telemetry.tracing(trace):
+        with obs.scope(trace=trace):
             obs.count("serve.admitted")
         self._queue.put(
             _WorkItem(
@@ -384,14 +383,10 @@ class ClarifyService:
                 handle.cond.wait()
         queue_wait = time.perf_counter() - item.admitted_at
         try:
-            with telemetry.tracing(item.trace), obs.span(
+            with obs.scope(trace=item.trace, journal=handle.journal), obs.span(
                 "serve.request", session=handle.session_id, seq=ticket.seq
             ):
-                if handle.journal is not None:
-                    with journaling(handle.journal):
-                        response = self._run_cycle(item, queue_wait)
-                else:
-                    response = self._run_cycle(item, queue_wait)
+                response = self._run_cycle(item, queue_wait)
         finally:
             with handle.cond:
                 handle.next_seq += 1
@@ -409,7 +404,7 @@ class ClarifyService:
             self._ewma_service_s = (
                 0.9 * self._ewma_service_s + 0.1 * (elapsed - queue_wait)
             )
-        with telemetry.tracing(item.trace):
+        with obs.scope(trace=item.trace):
             obs.count("serve.requests")
             obs.count(f"serve.outcome.{response.outcome}")
             obs.observe("serve.latency", elapsed)

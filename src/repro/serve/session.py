@@ -17,14 +17,14 @@ session's requests run strictly in submission order no matter how the
 pool schedules them, which is what makes pooled outcomes identical to a
 serial run.
 
-Journals: with ``memory_journals=True`` (or ``journal_dir`` set) every
-session records its own :class:`~repro.obs.journal.JournalRecorder`;
-the service activates it thread-locally around each request, so the
-per-session streams stay replayable even under a concurrent pool.
-
-Durability: pass a :class:`~repro.serve.store.SessionStore` and every
-session's journal is owned by the store (write-through, fsynced for the
-durable implementation); after a crash, :meth:`SessionManager.restore_all`
+Journals and durability: pass a :class:`~repro.serve.store.SessionStore`
+and every session records its own
+:class:`~repro.obs.journal.JournalRecorder`, owned by the store (kept in
+memory by :class:`~repro.serve.store.InMemorySessionStore`, written
+through and fsynced by :class:`~repro.serve.store.DurableSessionStore`).
+The service sets a session's journal in the request scope around each
+of its requests, so the per-session streams stay replayable even under
+a concurrent pool.  After a crash, :meth:`SessionManager.restore_all`
 rebuilds every open session bit-exactly from its journal via
 deterministic replay, and :meth:`ManagedSession.replayed_response`
 serves re-sent pre-crash requests idempotently.
@@ -32,7 +32,6 @@ serves re-sent pre-crash requests idempotently.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
@@ -122,8 +121,6 @@ class SessionManager:
         max_attempts: int = 3,
         lint_gate: bool = False,
         netwide_gate_factory: Optional[Callable[[], "NetwideGate"]] = None,
-        memory_journals: bool = False,
-        journal_dir: Optional[str] = None,
         session_store: Optional[SessionStore] = None,
     ) -> None:
         self._llm = llm
@@ -134,12 +131,9 @@ class SessionManager:
         #: Builds one whole-network advisory gate per session (each gate
         #: holds its own incremental analyzer); None disables the layer.
         self._netwide_gate_factory = netwide_gate_factory
-        self._memory_journals = memory_journals
-        self._journal_dir = journal_dir
-        #: Durable session tier (:mod:`repro.serve.store`): when set it
-        #: owns every session's journal and ``restore_all`` can rebuild
-        #: the manager's state after a crash.  Takes precedence over
-        #: ``journal_dir``/``memory_journals``.
+        #: Session tier (:mod:`repro.serve.store`): when set it owns every
+        #: session's journal and ``restore_all`` can rebuild the
+        #: manager's state after a crash; without it nothing is journaled.
         self.session_store = session_store
         self._lock = threading.Lock()
         self._sessions: Dict[str, ManagedSession] = {}
@@ -158,7 +152,11 @@ class SessionManager:
             store = parse_config(config_text)
         elif not config_text:
             config_text = render_config(store)
-        journal = self._make_journal(session_id, config_text)
+        journal = (
+            self.session_store.open(self._record(session_id, config_text))
+            if self.session_store is not None
+            else None
+        )
         with self._lock:
             if session_id in self._sessions:
                 raise ValueError(f"session {session_id!r} already open")
@@ -183,21 +181,6 @@ class SessionManager:
             self._sessions[session_id] = managed
         obs.count("serve.sessions.opened")
         return managed
-
-    def _make_journal(
-        self, session_id: str, config_text: str = ""
-    ) -> Optional[JournalRecorder]:
-        if self.session_store is not None:
-            return self.session_store.open(self._record(session_id, config_text))
-        if self._journal_dir is not None:
-            safe = "".join(
-                c if c.isalnum() or c in "-_." else "_" for c in session_id
-            )
-            path = os.path.join(self._journal_dir, f"{safe}.journal.jsonl")
-            return JournalRecorder(path)
-        if self._memory_journals:
-            return JournalRecorder()
-        return None
 
     def _record(self, session_id: str, config_text: str) -> SessionRecord:
         return SessionRecord(

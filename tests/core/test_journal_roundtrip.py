@@ -42,17 +42,10 @@ ACL_INTENT = (
 )
 
 
-@pytest.fixture(autouse=True)
-def _no_active_journal():
-    obs.uninstall_journal()
-    yield
-    obs.uninstall_journal()
-
-
 def assert_round_trips(record):
     """Record a session under a journal, replay it, compare everything."""
     journal = obs.JournalRecorder()
-    with obs.journaling(journal):
+    with obs.scope(journal=journal):
         sessions, reports = record()
     result = replay_journal(journal.events)
     assert result.ok, (
@@ -172,7 +165,7 @@ def test_faulty_llm_retries_round_trip():
 
 def test_punt_round_trip():
     journal = obs.JournalRecorder()
-    with obs.journaling(journal):
+    with obs.scope(journal=journal):
         llm = FaultyLLM(SimulatedLLM(), error_rate=1.0, seed=3)
         session = ClarifySession(llm=llm, max_attempts=3)
         with pytest.raises(SynthesisPunt):
@@ -189,7 +182,7 @@ def test_punt_round_trip():
 
 def test_replayed_final_config_hash_matches():
     journal = obs.JournalRecorder()
-    with obs.journaling(journal):
+    with obs.scope(journal=journal):
         session = ClarifySession(
             store=parse_config(ISP_OUT), oracle=ScriptedOracle([1, 1])
         )
@@ -211,7 +204,7 @@ def test_replayed_final_config_hash_matches():
 def test_journal_file_round_trip(tmp_path):
     path = tmp_path / "session.jsonl"
     with obs.JournalRecorder(str(path)) as journal:
-        with obs.journaling(journal):
+        with obs.scope(journal=journal):
             session = ClarifySession(
                 store=parse_config(ISP_OUT), oracle=ScriptedOracle([1, 1])
             )

@@ -103,7 +103,8 @@ class TestRecordCap:
 
 class TestJournalEmission:
     def test_llm_call_event_carries_hash_not_system_prompt(self):
-        with obs.journaling() as journal:
+        journal = obs.JournalRecorder()
+        with obs.scope(journal=journal):
             client = TranscribingClient(SimulatedLLM())
             system = PROMPTS.system_prompt(TaskKind.CLASSIFY)
             client.complete(system, "Add a rule to route-map RM")

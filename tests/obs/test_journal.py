@@ -9,13 +9,6 @@ from repro import obs
 from repro.obs.journal import EVENT_TYPES, validate_journal
 
 
-@pytest.fixture(autouse=True)
-def _no_active_journal():
-    obs.uninstall_journal()
-    yield
-    obs.uninstall_journal()
-
-
 class TestJournalRecorder:
     def test_header_is_emitted_on_construction(self):
         journal = obs.JournalRecorder()
@@ -151,29 +144,24 @@ class TestActiveJournal:
     def test_event_hook_is_noop_without_journal(self):
         assert not obs.journal_enabled()
         obs.event("cycle.start", target="ignored")  # must not raise
-        assert obs.get_journal() is None
 
     def test_journaling_scope(self):
-        with obs.journaling() as journal:
+        journal = obs.JournalRecorder()
+        with obs.scope(journal=journal):
             assert obs.journal_enabled()
             obs.event("cycle.start", target="T")
         assert not obs.journal_enabled()
+        obs.event("cycle.start", target="dropped")
         assert [e.type for e in journal.events] == [
             "journal.open",
             "cycle.start",
         ]
 
     def test_journaling_restores_previous(self):
-        outer = obs.install_journal()
-        with obs.journaling() as inner:
-            assert obs.get_journal() is inner
-        assert obs.get_journal() is outer
-        obs.uninstall_journal()
-
-    def test_install_and_uninstall(self):
-        journal = obs.install_journal()
-        obs.event("cycle.start", target="T")
-        assert len(journal) == 2
-        obs.uninstall_journal()
-        obs.event("cycle.start", target="dropped")
-        assert len(journal) == 2
+        outer, inner = obs.JournalRecorder(), obs.JournalRecorder()
+        with obs.scope(journal=outer):
+            with obs.scope(journal=inner):
+                obs.event("cycle.start", target="inner")
+            obs.event("cycle.start", target="outer")
+        assert [e.data.get("target") for e in inner.events] == [None, "inner"]
+        assert [e.data.get("target") for e in outer.events] == [None, "outer"]

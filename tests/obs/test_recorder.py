@@ -292,3 +292,76 @@ class TestRegistry:
             with obs.span("hot.span"):
                 pass
         assert time.perf_counter() - start < 1.0
+
+
+class TestScope:
+    """The request scope: trace, journal and stand-in recorder."""
+
+    def test_fields_not_passed_are_inherited(self):
+        trace = obs.mint_trace()
+        journal = obs.JournalRecorder()
+        with obs.scope(trace=trace):
+            with obs.scope(journal=journal):
+                assert obs.current_trace() is trace
+                assert obs.journal_enabled()
+            assert not obs.journal_enabled()
+            assert obs.current_trace() is trace
+
+    def test_none_switches_off_an_inherited_field(self):
+        with obs.scope(trace=obs.mint_trace(), journal=obs.JournalRecorder()):
+            with obs.scope(trace=None):
+                assert obs.current_trace() is None
+                assert obs.journal_enabled()
+            with obs.scope(journal=None):
+                assert not obs.journal_enabled()
+                assert obs.current_trace() is not None
+
+    def test_nested_scopes_restore_on_exit_and_on_error(self):
+        outer, inner = obs.mint_trace(), obs.mint_trace()
+        with obs.scope(trace=outer):
+            with pytest.raises(RuntimeError):
+                with obs.scope(trace=inner, journal=obs.JournalRecorder()):
+                    assert obs.current_trace() is inner
+                    raise RuntimeError
+            assert obs.current_trace() is outer
+            assert not obs.journal_enabled()
+        assert obs.current_trace() is None
+
+    def test_trace_and_journal_are_per_thread(self):
+        seen = {}
+
+        def look():
+            seen["trace"] = obs.current_trace()
+            seen["journal"] = obs.journal_enabled()
+            obs.event("cycle.start", target="other thread")
+
+        journal = obs.JournalRecorder()
+        with obs.scope(trace=obs.mint_trace(), journal=journal):
+            thread = threading.Thread(target=look)
+            thread.start()
+            thread.join()
+        assert seen == {"trace": None, "journal": False}
+        assert [e.type for e in journal.events] == ["journal.open"]
+
+    def test_scoped_recorder_stands_in_for_this_thread_only(self):
+        private = obs.Recorder()
+        process = obs.install()
+
+        def other():
+            obs.count("other")
+
+        with obs.scope(recorder=private):
+            assert obs.get_recorder() is private
+            obs.count("mine")
+            obs.observe("h", 1.0)
+            with obs.span("s"):
+                pass
+            thread = threading.Thread(target=other)
+            thread.start()
+            thread.join()
+        assert obs.get_recorder() is process
+        assert private.counters == {"mine": 1}
+        assert private.histogram("h").count == 1
+        assert [root.name for root in private.roots] == ["s"]
+        assert process.counters == {"other": 1}
+        assert process.roots == []

@@ -18,16 +18,9 @@ from repro.obs.replay import (
 )
 
 
-@pytest.fixture(autouse=True)
-def _no_active_journal():
-    obs.uninstall_journal()
-    yield
-    obs.uninstall_journal()
-
-
 def record_walkthrough():
     journal = obs.JournalRecorder()
-    with obs.journaling(journal):
+    with obs.scope(journal=journal):
         session = ClarifySession(store=parse_config(WALKTHROUGH_CONFIG))
         report = session.request(WALKTHROUGH_INTENT, WALKTHROUGH_TARGET)
     return journal.events, report

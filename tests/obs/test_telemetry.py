@@ -17,6 +17,12 @@ def no_leftover_hub():
     tele.uninstall_hub()
 
 
+@pytest.fixture
+def hub():
+    """A process hub for the test (the autouse fixture removes it)."""
+    return tele.install_hub()
+
+
 class TestTraceContext:
     def test_mint_trace_unique_ids(self):
         a, b = tele.mint_trace(), tele.mint_trace()
@@ -40,22 +46,22 @@ class TestTraceContext:
     def test_tracing_sets_and_restores(self):
         assert tele.current_trace() is None
         trace = tele.mint_trace()
-        with tele.tracing(trace):
+        with obs.scope(trace=trace):
             assert tele.current_trace() is trace
             inner = tele.mint_trace()
-            with tele.tracing(inner):
+            with obs.scope(trace=inner):
                 assert tele.current_trace() is inner
             assert tele.current_trace() is trace
         assert tele.current_trace() is None
 
     def test_tracing_none_deactivates(self):
-        with tele.tracing(tele.mint_trace()):
-            with tele.tracing(None):
+        with obs.scope(trace=tele.mint_trace()):
+            with obs.scope(trace=None):
                 assert tele.current_trace() is None
 
     def test_trace_is_per_thread(self):
         seen = {}
-        with tele.tracing(tele.mint_trace()):
+        with obs.scope(trace=tele.mint_trace()):
             thread = threading.Thread(
                 target=lambda: seen.update(other=tele.current_trace())
             )
@@ -103,50 +109,47 @@ class TestTelemetryHub:
         for key in event:
             assert "time" not in key and "stamp" not in key
 
-    def test_counter_attribution_requires_active_trace(self):
-        with tele.hub_active() as hub:
-            trace = tele.mint_trace()
-            hub.begin(trace)
-            with obs.recording(), tele.tracing(trace):
-                obs.count("serve.requests")
-                obs.count("llm.calls", 3)
-                obs.count("untracked.thing")
-            with obs.recording():
-                obs.count("serve.requests")  # no trace active: dropped
-            event = hub.finish(trace, outcome="applied", latency_s=0.0)
+    def test_counter_attribution_requires_active_trace(self, hub):
+        trace = tele.mint_trace()
+        hub.begin(trace)
+        with obs.recording(), obs.scope(trace=trace):
+            obs.count("serve.requests")
+            obs.count("llm.calls", 3)
+            obs.count("untracked.thing")
+        with obs.recording():
+            obs.count("serve.requests")  # no trace active: dropped
+        event = hub.finish(trace, outcome="applied", latency_s=0.0)
         assert event["counters"] == {"serve.requests": 1, "llm.calls": 3}
 
-    def test_span_durations_bucket_into_phases(self):
-        with tele.hub_active() as hub:
-            trace = tele.mint_trace()
-            hub.begin(trace)
-            with obs.recording(), tele.tracing(trace):
-                with obs.span("verify.differential"):
-                    pass
-                with obs.span("llm.complete"):
-                    pass
-            event = hub.finish(trace, outcome="applied", latency_s=0.0)
+    def test_span_durations_bucket_into_phases(self, hub):
+        trace = tele.mint_trace()
+        hub.begin(trace)
+        with obs.recording(), obs.scope(trace=trace):
+            with obs.span("verify.differential"):
+                pass
+            with obs.span("llm.complete"):
+                pass
+        event = hub.finish(trace, outcome="applied", latency_s=0.0)
         assert event["timings"]["verify_s"] > 0.0
         assert event["timings"]["llm_s"] > 0.0
         assert event["timings"]["synthesis_s"] == 0.0
 
-    def test_span_annotated_with_trace(self):
-        with tele.hub_active():
-            trace = tele.mint_trace()
-            with obs.recording() as rec, tele.tracing(trace):
-                with obs.span("verify.differential"):
-                    pass
-            (root,) = rec.roots
+    def test_span_annotated_with_trace(self, hub):
+        trace = tele.mint_trace()
+        with obs.recording() as rec, obs.scope(trace=trace):
+            with obs.span("verify.differential"):
+                pass
+        (root,) = rec.roots
         assert root.attrs["trace_id"] == trace.trace_id
         assert root.attrs["request_id"] == trace.request_id
 
-    def test_span_exception_suppression_preserved(self):
-        # The tap wrapper must not change context-manager semantics.
-        with tele.hub_active():
-            with obs.recording():
-                with pytest.raises(ValueError):
-                    with obs.span("verify.x"):
-                        raise ValueError("boom")
+    def test_span_exception_suppression_preserved(self, hub):
+        # Handing the span to the hub must not change context-manager
+        # semantics.
+        with obs.recording(), obs.scope(trace=tele.mint_trace()):
+            with pytest.raises(ValueError):
+                with obs.span("verify.x"):
+                    raise ValueError("boom")
 
     def test_dispositions(self):
         assert tele._dispositions({"llm.cache.hits": 1})["cache"] == "hit"
@@ -160,13 +163,12 @@ class TestTelemetryHub:
             == "follower"
         )
 
-    def test_note_and_annotate(self):
-        with tele.hub_active() as hub:
-            trace = tele.mint_trace()
-            hub.begin(trace)
-            with tele.tracing(trace):
-                tele.annotate(backend="simulated")
-            event = hub.finish(trace, outcome="applied", latency_s=0.0)
+    def test_note_and_annotate(self, hub):
+        trace = tele.mint_trace()
+        hub.begin(trace)
+        with obs.scope(trace=trace):
+            tele.annotate(backend="simulated")
+        event = hub.finish(trace, outcome="applied", latency_s=0.0)
         assert event["backend"] == "simulated"
 
     def test_events_ring_is_bounded(self):
@@ -197,7 +199,6 @@ class TestTelemetryHub:
         tele.begin_request(trace)
         tele.annotate(backend="x")
         assert tele.finish_request(trace, "applied", 0.0) is None
-        assert tele.get_hub() is None
 
 
 class TestPrometheusExport:

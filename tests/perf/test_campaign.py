@@ -7,6 +7,7 @@ never on scheduling or the worker count.
 """
 
 import random
+import threading
 
 import pytest
 
@@ -82,6 +83,36 @@ class TestRunCampaign:
         assert serial_results == parallel_results
         assert serial_counters == parallel_counters
         assert serial_counters.get("cache.hits", 0) > 0
+
+    def test_other_threads_counts_stay_out_of_chunk_counters(self, monkeypatch):
+        # The chunk's private recorder is this thread's scope, not a swap
+        # of the process recorder: a thread counting while an in-process
+        # chunk runs reaches the process recorder and never the chunk's.
+        started, counted = threading.Event(), threading.Event()
+
+        def probe(payload, context):
+            started.set()
+            assert counted.wait(timeout=60)
+            obs.count("chunk.task")
+            return payload
+
+        def other():
+            assert started.wait(timeout=60)
+            for _ in range(100):
+                obs.count("other.thread")
+            counted.set()
+
+        monkeypatch.setitem(campaign._TASKS, "probe", probe)
+        thread = threading.Thread(target=other)
+        with obs.recording(obs.Recorder(capture_spans=False)) as rec:
+            thread.start()
+            result = campaign.run_campaign("probe", [7], pool="serial")
+            thread.join()
+        assert result.results == (7,)
+        assert result.counters["chunk.task"] == 1
+        assert "other.thread" not in result.counters
+        assert rec.counter("other.thread") == 100
+        assert rec.counter("chunk.task") == 1
 
     def test_serial_campaign_leaks_nothing_into_parent_caches(self):
         from repro.perf import cache as perf

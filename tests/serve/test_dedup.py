@@ -119,16 +119,8 @@ class TestDedupClient:
         # Sequential identical calls both hit upstream: dedup is
         # in-flight-only so chaos-corrupted responses are never pinned.
         assert upstream.calls == 2
-        assert client.memo_hits == 0
-
-    def test_memoize_opt_in(self):
-        upstream = CountingBlockingLLM()
-        client = DedupClient(upstream, memoize=True)
-        first = client.complete("sys", "p")
-        second = client.complete("sys", "p")
-        assert first == second
-        assert upstream.calls == 1
-        assert client.memo_hits == 1
+        assert client.upstream_calls == 2
+        assert client.coalesced == 0
 
     def test_stats_snapshot(self):
         upstream = CountingBlockingLLM()
@@ -139,5 +131,4 @@ class TestDedupClient:
             "requests": 1,
             "upstream_calls": 1,
             "coalesced": 0,
-            "memo_hits": 0,
         }

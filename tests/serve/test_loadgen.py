@@ -22,6 +22,24 @@ class TestRunLoadgen:
         assert report.counters["serve.requests"] == 12
         assert report.dedup["requests"] == report.counters["llm.dedup.requests"]
 
+    def test_llm_request_counts_do_not_depend_on_thread_timing(self, tmp_path):
+        # How many twins dedup coalesces depends on thread timing; the
+        # request total, and the upstream/coalesced split's sum, do not.
+        log = tmp_path / "events.jsonl"
+        report = run_loadgen(
+            sessions=8,
+            requests_per_session=2,
+            workers=4,
+            seed=2025,
+            telemetry=True,
+            event_log=str(log),
+        )
+        dedup = report.dedup
+        assert dedup["upstream_calls"] + dedup["coalesced"] == dedup["requests"]
+        events = [json.loads(line) for line in log.read_text().splitlines()]
+        assert len(events) == report.requests == 16
+        assert sum(event["llm_calls"] for event in events) == dedup["requests"]
+
     def test_chaos_campaign_terminates_cleanly(self):
         report = run_loadgen(
             sessions=8,

@@ -7,6 +7,7 @@ import pytest
 from repro.obs.journal import read_journal
 from repro.serve import ClarifyService, ServeRequest, SessionManager
 from repro.serve.loadgen import CAMPUS_CONFIG
+from repro.serve.store import DurableSessionStore, InMemorySessionStore
 
 INTENT = (
     "Write a route-map stanza that permits routes with local-preference 300."
@@ -57,7 +58,7 @@ class TestSessionManager:
         assert response.config_sha256 == managed.config_sha256()
 
     def test_memory_journals_capture_per_session_events(self):
-        manager = SessionManager(memory_journals=True)
+        manager = SessionManager(session_store=InMemorySessionStore())
         alice = manager.open("alice", config_text=CAMPUS_CONFIG)
         bob = manager.open("bob", config_text=CAMPUS_CONFIG)
         with ClarifyService(manager, workers=2) as service:
@@ -76,17 +77,25 @@ class TestSessionManager:
             assert types.count("cycle.end") == 1
 
     def test_journal_dir_writes_one_file_per_session(self, tmp_path):
-        manager = SessionManager(journal_dir=str(tmp_path))
+        store = DurableSessionStore(str(tmp_path))
+        manager = SessionManager(session_store=store)
         manager.open("net/alice", config_text=CAMPUS_CONFIG)
-        with ClarifyService(manager, workers=1) as service:
-            service.call(
-                ServeRequest(
-                    session="net/alice", intent=INTENT, target="ISP_OUT"
-                )
-            )
-        manager.close_all()
-        files = os.listdir(tmp_path)
-        assert files == ["net_alice.journal.jsonl"]
-        events = read_journal(str(tmp_path / files[0]))
-        assert events[0].type == "journal.open"
-        assert any(e.type == "cycle.end" for e in events)
+        manager.open("net/bob", config_text=CAMPUS_CONFIG)
+        try:
+            with ClarifyService(manager, workers=2) as service:
+                for session in ("net/alice", "net/bob"):
+                    service.call(
+                        ServeRequest(
+                            session=session, intent=INTENT, target="ISP_OUT"
+                        )
+                    )
+        finally:
+            store.shutdown()
+        journals = sorted(
+            name for name in os.listdir(tmp_path) if name.endswith(".journal.jsonl")
+        )
+        assert [name.split("-")[0] for name in journals] == ["net_alice", "net_bob"]
+        for session in ("net/alice", "net/bob"):
+            events = read_journal(store.journal_path(session))
+            assert events[0].type == "journal.open"
+            assert [e.type for e in events].count("cycle.end") == 1

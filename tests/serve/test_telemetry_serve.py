@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro import obs
+from repro.cli import WALKTHROUGH_CONFIG, WALKTHROUGH_INTENT, WALKTHROUGH_TARGET
 from repro.llm.client import LLMClient
 from repro.llm.simulated import SimulatedLLM
 from repro.obs import telemetry as tele
@@ -28,6 +29,12 @@ INTENT = (
 def no_leftover_hub():
     yield
     tele.uninstall_hub()
+
+
+@pytest.fixture
+def hub():
+    """A process hub for the test (the autouse fixture removes it)."""
+    return tele.install_hub()
 
 
 class GatedLLM(LLMClient):
@@ -81,16 +88,15 @@ class TestTracePropagation:
         assert "trace_id" not in key and "request_id" not in key
         assert "latency_s" not in key and "queue_wait_s" not in key
 
-    def test_wide_event_matches_response(self):
-        with tele.hub_active() as hub:
-            response = serve_one(
-                ServeRequest(
-                    session="s0",
-                    intent=INTENT,
-                    target="OUT",
-                    request_id="wide-1",
-                )
+    def test_wide_event_matches_response(self, hub):
+        response = serve_one(
+            ServeRequest(
+                session="s0",
+                intent=INTENT,
+                target="OUT",
+                request_id="wide-1",
             )
+        )
         (event,) = hub.events
         assert event["trace_id"] == response.trace_id
         assert event["request_id"] == "wide-1"
@@ -101,15 +107,40 @@ class TestTracePropagation:
         # Worker-side phases bucket under the propagated trace.
         assert event["timings"]["llm_s"] > 0.0
 
-    def test_worker_counters_attributed_to_trace(self):
-        with tele.hub_active() as hub:
-            with obs.recording():
-                serve_one(
-                    ServeRequest(session="s0", intent=INTENT, target="OUT")
-                )
+    def test_worker_counters_attributed_to_trace(self, hub):
+        with obs.recording():
+            serve_one(ServeRequest(session="s0", intent=INTENT, target="OUT"))
         (event,) = hub.events
         assert event["counters"].get("serve.requests") == 1
         assert event["counters"].get("llm.calls", 0) >= 1
+
+
+class TestViewsAgree:
+    def test_wide_event_timings_equal_span_histograms(self, hub):
+        # Each span is timed once: its duration reaches the recorder's
+        # ``span.<name>`` histogram and the hub's phase bucket alike.
+        manager = SessionManager(llm=SimulatedLLM())
+        manager.open("s0", config_text=WALKTHROUGH_CONFIG)
+        recorder = obs.Recorder(capture_spans=False, time_spans=True)
+        with obs.recording(recorder):
+            with ClarifyService(manager, workers=1) as service:
+                response = service.call(
+                    ServeRequest("s0", WALKTHROUGH_INTENT, WALKTHROUGH_TARGET),
+                    timeout=60,
+                )
+        assert response.outcome == "applied" and response.questions > 0
+        totals = dict.fromkeys(tele.PHASES, 0.0)
+        for name, histogram in recorder.histograms.items():
+            phase = tele.phase_of(name[len("span."):])
+            if name.startswith("span.") and phase is not None:
+                totals[phase] += histogram.total
+        (event,) = hub.events
+        for phase in ("synthesis", "verify", "disambiguation", "llm"):
+            assert totals[phase] > 0.0, phase
+        for phase in tele.PHASES:
+            assert event["timings"][f"{phase}_s"] == pytest.approx(
+                totals[phase], rel=0, abs=1e-9
+            ), phase
 
 
 class TestNoSurvivorshipBias:
@@ -119,7 +150,8 @@ class TestNoSurvivorshipBias:
         manager = SessionManager(llm=llm)
         manager.open("s0")
         manager.open("s1")
-        with obs.recording() as rec, tele.hub_active() as hub:
+        hub = tele.install_hub()
+        with obs.recording() as rec:
             with ClarifyService(
                 manager, workers=1, queue_limit=4, high_water=1
             ) as service:
@@ -158,8 +190,8 @@ class TestNoSurvivorshipBias:
         assert rejected["retry_after_s"] > 0
         assert rejected["seq"] == -1
 
-    def test_deadline_expiry_recorded(self):
-        with obs.recording() as rec, tele.hub_active() as hub:
+    def test_deadline_expiry_recorded(self, hub):
+        with obs.recording() as rec:
             response = serve_one(
                 ServeRequest(
                     session="s0",

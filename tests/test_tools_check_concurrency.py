@@ -1,4 +1,4 @@
-"""Tests for ``tools/check_concurrency.py`` (the CC001-CC003 AST lint)."""
+"""Tests for ``tools/check_concurrency.py`` (the CC001/CC003 AST lint)."""
 
 import importlib.util
 import pathlib
@@ -108,32 +108,9 @@ class TestCC001:
         assert findings == []
 
 
-class TestCC002:
-    def test_install_journal_flagged_anywhere(self):
-        findings = scan(
-            """
-            from repro import obs
-            def f(journal):
-                obs.install_journal(journal)
-            """
-        )
-        assert [f.code for f in findings] == ["CC002"]
-
-    def test_scoped_journaling_clean(self):
-        findings = scan(
-            """
-            from repro import obs
-            def f(journal):
-                with obs.journaling(journal):
-                    pass
-            """
-        )
-        assert findings == []
-
-
 class TestCC003:
     def test_hub_touchpoints_flagged_in_pool_worker_code(self):
-        for name in ("install_hub", "get_hub", "begin_request", "journaling"):
+        for name in ("install_hub", "begin_request", "recording"):
             findings = scan(
                 f"""
                 from repro.obs import telemetry
@@ -150,31 +127,46 @@ class TestCC003:
             """
             from repro.obs import telemetry
             def f(arg):
-                telemetry.get_hub(arg)
+                telemetry.install_hub(arg)
             """
         )
         assert findings == []
 
     def test_scoped_tracing_exempt_in_pool_worker_code(self):
-        # Contextvar-scoped trace propagation is the supported route for
-        # workers; only the global hub/journal touchpoints are banned.
+        # Contextvar-scoped trace propagation and the chunk's private
+        # recorder are the supported route for workers; only the
+        # process-wide sinks and setting a journal are banned.
         findings = scan(
             """
+            from repro import obs
             from repro.obs import telemetry
-            def f(trace, fn):
-                with telemetry.tracing(trace):
+            def f(trace, recorder, fn):
+                with obs.scope(trace=trace, recorder=recorder):
                     return fn(), telemetry.current_trace()
             """,
             pool_worker=True,
         )
         assert findings == []
 
+    def test_setting_a_journal_flagged_in_pool_worker_code(self):
+        findings = scan(
+            """
+            from repro import obs
+            def f(trace, journal):
+                with obs.scope(trace=trace, journal=journal):
+                    pass
+            """,
+            pool_worker=True,
+        )
+        assert [f.code for f in findings] == ["CC003"]
+        assert "scope(journal=...)" in findings[0].message
+
     def test_allow_marker_suppresses(self):
         findings = scan(
             """
             from repro import obs
             def f():
-                return obs.get_hub()  # cc: allow
+                return obs.install_hub()  # cc: allow
             """,
             pool_worker=True,
         )
@@ -210,11 +202,12 @@ class TestDriver:
         findings = scan(
             """
             from repro import obs
-            def f(self, p, journal):
+            def f(self, p, hub):
                 with self._lock:
                     self._inner.complete(p)
-                obs.install_journal(journal)
-            """
+                obs.install_hub(hub)
+            """,
+            pool_worker=True,
         )
-        assert [f.code for f in findings] == ["CC001", "CC002"]
+        assert [f.code for f in findings] == ["CC001", "CC003"]
         assert findings[0].lineno < findings[1].lineno

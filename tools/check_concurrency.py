@@ -12,23 +12,19 @@ tests rarely catch regressing:
     methods (``wait``/``wait_for``/``notify``...) are exempt: waiting
     releases the lock by design.
 
-``CC002``
-    Code under the scanned targets must not call the process-global
-    ``install_journal``/``uninstall_journal``.
-    Concurrent sessions each own a journal; the scoped, thread-local
-    ``obs.journaling(...)`` context is the supported route — a global
-    journal interleaves events across sessions and breaks replay.
-
 ``CC003``
     Campaign pool-worker code (``src/repro/perf``) must never touch the
-    global telemetry hub or journal directly (``install_hub``,
-    ``get_hub``, ``begin_request``, ``journaling``...).  Pool workers
-    run in forked children whose counters flow through a private
-    per-chunk :class:`repro.obs.Recorder` and are re-published by the
-    parent; a worker reaching for the hub would double-count or write
-    to a hub the parent never reads.  The contextvar-scoped
-    ``telemetry.tracing``/``telemetry.current_trace`` are exempt —
-    propagating the originating trace is the supported route.
+    process-wide sinks (``install_hub``, ``begin_request``,
+    ``recording``...) or set a journal (``obs.scope(journal=...)``).
+    Pool workers run in forked children, or in-process on the serial
+    fallback; their counters flow through a private per-chunk
+    :class:`repro.obs.Recorder` in the chunk's scope and are re-published
+    by the parent.  A worker reaching for the hub or the process
+    recorder would double-count, hide other threads' counts, or write to
+    a hub the parent never reads.  Setting the trace and the chunk's
+    recorder with ``obs.scope(trace=..., recorder=...)``, and reading
+    ``telemetry.current_trace()``, are exempt — propagating the
+    originating trace is the supported route.
 
 The scan is lexical (AST-based, no control-flow analysis), which keeps
 it fast and deterministic; the rare intentional exception can carry a
@@ -88,23 +84,16 @@ CONDITION_METHODS = frozenset(
 #: Substrings that mark a ``with`` context expression as a lock.
 LOCKISH = ("lock", "cond", "mutex", "sem")
 
-#: Process-global journal installers (CC002).
-GLOBAL_JOURNAL_NAMES = frozenset({"install_journal", "uninstall_journal"})
-
-#: Global telemetry-hub / journal touchpoints forbidden to pool-worker
-#: code (CC003).  ``tracing``/``current_trace`` are deliberately absent:
-#: they are contextvar-scoped and safe in workers.
+#: Process-wide sink touchpoints forbidden to pool-worker code (CC003).
+#: ``scope`` is checked separately (only its ``journal=`` is banned) and
+#: ``current_trace`` is deliberately absent: both are contextvar-scoped.
 GLOBAL_TELEMETRY_NAMES = frozenset(
     {
         "install_hub",
         "uninstall_hub",
-        "get_hub",
-        "hub_active",
         "begin_request",
         "finish_request",
-        "journaling",
-        "install_journal",
-        "uninstall_journal",
+        "recording",
     }
 )
 
@@ -184,15 +173,8 @@ class _Scanner(ast.NodeVisitor):
         self._visit_with(node, node.items)
 
     def visit_Call(self, node: ast.Call) -> None:
-        """Flag global-journal installs and blocking calls under locks."""
+        """Flag blocking calls under locks and pool workers' sink access."""
         name = _call_name(node)
-        if name in GLOBAL_JOURNAL_NAMES:
-            self._add(
-                node,
-                "CC002",
-                f"{name}() installs a process-global journal; use the "
-                f"scoped obs.journaling(...) context instead",
-            )
         if (
             self._lock_depth > 0
             and name in BLOCKING_NAMES
@@ -204,14 +186,18 @@ class _Scanner(ast.NodeVisitor):
                 f"blocking call {name}() lexically inside a 'with <lock>' "
                 f"block; move the call outside the critical section",
             )
-        if self.pool_worker and name in GLOBAL_TELEMETRY_NAMES:
+        sets_journal = name == "scope" and any(
+            keyword.arg == "journal" for keyword in node.keywords
+        )
+        if self.pool_worker and (name in GLOBAL_TELEMETRY_NAMES or sets_journal):
+            call = "scope(journal=...)" if sets_journal else f"{name}()"
             self._add(
                 node,
                 "CC003",
-                f"pool-worker code calls {name}(); campaign workers must "
-                f"not touch the global telemetry hub or journal — record "
-                f"into the private chunk recorder and let the parent "
-                f"re-publish",
+                f"pool-worker code calls {call}; campaign workers must "
+                f"not touch the process hub or recorder or set a journal "
+                f"— record into the chunk's scoped recorder and let the "
+                f"parent re-publish",
             )
         self.generic_visit(node)
 
