@@ -913,9 +913,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     hammers, driveable from a shell pipe or a test harness.
 
     Commands may carry a ``tag``; the matching reply echoes it, and a
-    tagged ``request`` is answered asynchronously (out of order) so the
-    worker pool actually pipelines — this is how the shard router keeps
-    every shard busy.  With ``--store-dir`` every session's journal
+    tagged ``request`` runs on a thread of its own and is answered
+    asynchronously (out of order), up to ``--workers`` cycles at once —
+    this is how the shard router keeps every shard busy.  An untagged
+    ``request`` runs on the loop's own thread before the next line is
+    read.  With ``--store-dir`` every session's journal
     lives in a :class:`~repro.serve.store.DurableSessionStore`
     (fsynced, crash-safe) and ``--restore`` rebuilds all previously
     open sessions before serving; a re-sent ``request`` whose ``seq``
@@ -1016,8 +1018,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     with exit_stack, ClarifyService(
         manager,
         workers=args.workers,
-        queue_limit=args.queue_limit,
-        high_water=args.high_water,
+        high_water=64 if args.high_water is None else args.high_water,
     ) as service:
         for line in sys.stdin:
             line = line.strip()
@@ -1088,9 +1089,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     if tag is None:
                         send_response(None, service.call(request))
                         continue
-                    # Tagged requests pipeline: submit now, answer from a
-                    # waiter thread when the pool resolves the ticket, and
-                    # keep reading stdin meanwhile.
+                    # Tagged requests pipeline: submit now (admission and
+                    # the session's sequence number follow stdin order),
+                    # answer from a waiter thread when the ticket
+                    # resolves, and keep reading stdin meanwhile.
                     try:
                         ticket = service.submit(request)
                     except AdmissionError as exc:
@@ -1242,7 +1244,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             backend=args.backend,
             fault_rate=args.fault_rate,
             deadline_s=args.deadline,
-            queue_limit=args.queue_limit,
             high_water=args.high_water,
             netwide=args.netwide,
             event_log=args.event_log,
@@ -1743,20 +1744,18 @@ def build_parser() -> argparse.ArgumentParser:
         "stdin/stdout request loop",
     )
     p_serve.add_argument(
-        "--workers", type=int, default=4, help="worker threads (default: 4)"
-    )
-    p_serve.add_argument(
-        "--queue-limit",
+        "--workers",
         type=int,
-        default=64,
-        help="maximum admitted-but-incomplete requests (default: 64)",
+        default=4,
+        help="Clarify cycles run at once (default: 4)",
     )
     p_serve.add_argument(
         "--high-water",
         type=int,
         default=None,
-        help="backlog depth past which submissions are rejected with a "
-        "retry-after (default: the queue limit)",
+        help="admitted-but-unfinished requests at which new ones are "
+        "rejected with a retry-after (default: 64; 32 per shard with "
+        "--shards)",
     )
     p_serve.add_argument(
         "--deadline",
@@ -1823,7 +1822,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker threads per shard process (default: --workers)",
+        help="Clarify cycles each shard process runs at once "
+        "(default: --workers)",
     )
     p_serve.set_defaults(func=cmd_serve)
 
@@ -1889,7 +1889,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="intents per session (default: 2)",
     )
     p_loadgen.add_argument(
-        "--workers", type=int, default=4, help="worker threads (default: 4)"
+        "--workers",
+        type=int,
+        default=4,
+        help="Clarify cycles run at once (default: 4)",
     )
     p_loadgen.add_argument(
         "--seed", type=int, default=2025, help="workload seed (default: 2025)"
@@ -1907,17 +1910,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request time budget in seconds (default: none)",
     )
     p_loadgen.add_argument(
-        "--queue-limit",
-        type=int,
-        default=64,
-        help="maximum admitted-but-incomplete requests (default: 64)",
-    )
-    p_loadgen.add_argument(
         "--high-water",
         type=int,
-        default=None,
-        help="backlog depth past which submissions are rejected "
-        "(default: the queue limit)",
+        default=64,
+        help="admitted-but-unfinished requests at which new ones are "
+        "rejected (default: 64)",
     )
     p_loadgen.add_argument(
         "--max-attempts",

@@ -1,9 +1,10 @@
 """A persistent on-disk LLM response cache with purity gating.
 
 The serving layer's :class:`~repro.llm.dedup.DedupClient` only coalesces
-requests that are in flight *simultaneously*; BENCH_serve.json showed
-that on the realistic loadgen mix this coalesces nothing (192/192
-upstream calls) because identical prompts arrive seconds apart.  This
+requests that are in flight *simultaneously*; on the realistic loadgen
+mix that is next to nothing (the uncached leg of
+``benchmarks/BENCH_serve.json``: 384 requests, 384 upstream calls, none
+coalesced) because identical prompts arrive seconds apart.  This
 module adds the durable layer underneath it:
 
 * a :class:`ResponseCache` stores one completion per *canonical prompt

@@ -4,9 +4,9 @@ Three pieces, layered over :mod:`repro.obs.recorder`:
 
 * **trace context** — a :class:`TraceContext` (``trace_id`` /
   ``request_id`` / ``session_id``) carried in the request scope
-  (:func:`repro.obs.scope`).  :meth:`repro.serve.service.ClarifyService.submit`
-  mints one per request at admission; the worker thread sets it in the
-  scope around the cycle, and :func:`repro.perf.campaign.run_campaign`
+  (:func:`repro.obs.scope`).  :class:`repro.serve.service.ClarifyService`
+  mints one per request at admission; the thread that runs the cycle
+  sets it in the scope around it, and :func:`repro.perf.campaign.run_campaign`
   forwards it into pool workers.  Every span, counter delta, journal
   event, and remote LLM call made while a trace is in scope correlates
   back to the originating request;
@@ -36,9 +36,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import random
 import threading
 import time
-import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import (
     IO,
@@ -114,8 +114,15 @@ def current_trace() -> Optional[TraceContext]:
 def mint_trace(
     session_id: str = "", request_id: Optional[str] = None
 ) -> TraceContext:
-    """A fresh trace; ``request_id`` defaults to the new trace id."""
-    trace_id = uuid.uuid4().hex
+    """A fresh trace; ``request_id`` defaults to ``req-`` and the first
+    12 hex digits of the new trace id.
+
+    The 128 bits come from :mod:`random`, which reseeds itself in a
+    forked child, and not from ``os.urandom``: that syscall releases the
+    interpreter lock, and an admitting thread could then wait a whole
+    switch interval to get it back.
+    """
+    trace_id = f"{random.getrandbits(128):032x}"
     return TraceContext(
         trace_id=trace_id,
         request_id=request_id if request_id else f"req-{trace_id[:12]}",

@@ -7,11 +7,13 @@ is that serving layer (architecture in ``docs/SERVING.md``):
 * :class:`~repro.serve.session.SessionManager` — owns per-session state
   (configuration store, oracle, optional journal) keyed by session id,
   with the per-session locks/FIFO ordering that make
-  :class:`~repro.core.workflow.ClarifySession` safe to drive from a pool;
-* :class:`~repro.serve.service.ClarifyService` — a bounded work queue and
-  thread pool with admission control (reject-with-retry-after past the
-  high-water mark) and per-request time budgets
-  (:class:`~repro.core.budget.TimeBudget`);
+  :class:`~repro.core.workflow.ClarifySession` safe to drive from many
+  threads;
+* :class:`~repro.serve.service.ClarifyService` — runs each request on
+  the thread that asks for it (``call``) or on one started for it
+  (``submit``), at most ``workers`` at once, with admission control
+  (reject-with-retry-after past the high-water mark) and per-request
+  time budgets (:class:`~repro.core.budget.TimeBudget`);
 * :mod:`~repro.serve.loadgen` — a deterministic seeded workload generator
   (campus/cloud intent mix, optional :class:`~repro.llm.faulty.FaultyLLM`
   chaos rate) reporting throughput, latency quantiles, and per-outcome

@@ -350,8 +350,7 @@ def run_loadgen(
     seed: int = 2025,
     fault_rate: float = 0.0,
     deadline_s: Optional[float] = None,
-    queue_limit: int = 64,
-    high_water: Optional[int] = None,
+    high_water: int = 64,
     max_attempts: int = 3,
     wait_timeout_s: float = 120.0,
     llm_factory: Optional[Callable[[], LLMClient]] = None,
@@ -423,12 +422,9 @@ def run_loadgen(
             for spec in workload:
                 manager.open(spec.session_id, config_text=spec.config_text)
             rejected_submissions = 0
-            tickets: List[Ticket] = []
+            tickets: List[Ticket[ServeResponse]] = []
             with ClarifyService(
-                manager,
-                workers=workers,
-                queue_limit=queue_limit,
-                high_water=high_water,
+                manager, workers=workers, high_water=high_water
             ) as service:
                 # Round-robin across sessions so concurrent requests
                 # overlap across many sessions (and dedup sees

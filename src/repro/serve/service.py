@@ -1,19 +1,22 @@
-"""The Clarify service: a bounded work queue over a session pool.
+"""The Clarify service: admission control and ordering over a session pool.
 
-One :class:`ClarifyService` runs many Clarify sessions concurrently:
+One :class:`ClarifyService` runs many Clarify sessions concurrently.
+Each admitted cycle runs on the thread that needs its result: ``call``
+runs it on the caller's thread, and ``submit`` on one thread it starts
+for that request.  ``workers`` is how many cycles may run at once.
 
-* **admission control** — the service accepts at most ``queue_limit``
-  in-flight requests and starts rejecting once the backlog reaches the
-  ``high_water`` mark; a rejection is an :class:`AdmissionError`
-  carrying ``retry_after_s`` (estimated from an EWMA of recent service
-  times and the current backlog), so well-behaved clients back off
-  instead of piling on;
+* **admission control** — the service rejects new requests once the
+  number admitted and not yet finished reaches the ``high_water``
+  mark; a rejection is an :class:`AdmissionError` carrying
+  ``retry_after_s`` (estimated from an EWMA of recent service times and
+  the current backlog), so well-behaved clients back off instead of
+  piling on;
 * **deadlines** — every request may carry a time budget
-  (``deadline_s``), started at *admission* so queueing time counts; the
+  (``deadline_s``), started at *admission* so waiting time counts; the
   budget is installed ambiently around the cycle
   (:mod:`repro.core.budget`) and polled by the synthesis retry loop and
   the disambiguator's binary search, degrading to a "needs
-  clarification"/"deadline" outcome instead of hanging a worker;
+  clarification"/"deadline" outcome instead of hanging a thread;
 * **per-session FIFO** — requests for one session execute strictly in
   admission order (see :class:`~repro.serve.session.ManagedSession`),
   while requests for distinct sessions run in parallel; this is the
@@ -28,10 +31,9 @@ One :class:`ClarifyService` runs many Clarify sessions concurrently:
 from __future__ import annotations
 
 import dataclasses
-import queue
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Generic, List, Optional, Tuple, TypeVar
 
 from repro import obs
 from repro.core.budget import TimeBudget
@@ -56,11 +58,11 @@ _EWMA_SEED_S = 0.02
 
 
 class AdmissionError(ClarifyError):
-    """The queue is past its high-water mark; retry after a backoff."""
+    """The backlog is at its high-water mark; retry after a backoff."""
 
     def __init__(self, depth: int, high_water: int, retry_after_s: float) -> None:
         super().__init__(
-            f"queue at {depth}/{high_water}; retry after {retry_after_s:.3f}s"
+            f"backlog at {depth}/{high_water}; retry after {retry_after_s:.3f}s"
         )
         self.depth = depth
         self.high_water = high_water
@@ -147,25 +149,44 @@ class ServeResponse:
             data["trace_id"] = self.trace_id
         return data
 
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "ServeResponse":
+        """The response a :meth:`to_dict` payload describes.
 
-class Ticket:
-    """A handle on an accepted request; resolves to a :class:`ServeResponse`."""
+        Keys that are not fields (a ``clarify serve`` reply's ``ok``,
+        ``op``, ``tag``, ``recovered``) are ignored, so a shard's reply
+        fingerprints exactly like the in-process response it carries.
+        """
+        values = {
+            field.name: data[field.name]
+            for field in dataclasses.fields(cls)
+            if field.name in data
+        }
+        values["overlaps"] = tuple(values.get("overlaps", ()))
+        values["gate_warnings"] = tuple(values.get("gate_warnings", ()))
+        return cls(**values)
 
-    def __init__(self, request: ServeRequest, seq: int) -> None:
-        self.request = request
-        self.seq = seq
+
+T = TypeVar("T")
+
+
+class Ticket(Generic[T]):
+    """A reply that resolves once: a :class:`ServeResponse` from
+    :meth:`ClarifyService.submit`, a reply payload from a shard."""
+
+    def __init__(self) -> None:
         self._done = threading.Event()
-        self._response: Optional[ServeResponse] = None
+        self._result: Optional[T] = None
 
-    def resolve(self, response: ServeResponse) -> None:
-        self._response = response
+    def resolve(self, result: T) -> None:
+        self._result = result
         self._done.set()
 
-    def wait(self, timeout: Optional[float] = None) -> Optional[ServeResponse]:
+    def wait(self, timeout: Optional[float] = None) -> Optional[T]:
         """Block until resolution (or ``timeout``); None on timeout."""
         if not self._done.wait(timeout):
             return None
-        return self._response
+        return self._result
 
     @property
     def done(self) -> bool:
@@ -175,43 +196,42 @@ class Ticket:
 @dataclasses.dataclass
 class _WorkItem:
     handle: ManagedSession
-    ticket: Ticket
+    request: ServeRequest
+    seq: int
     budget: Optional[TimeBudget]
     admitted_at: float
     trace: TraceContext
 
 
-_STOP = None
-
-
 class ClarifyService:
-    """A thread pool running Clarify cycles with admission control."""
+    """Runs Clarify cycles with admission control and per-session FIFO.
+
+    A cycle runs on the thread that needs its result (see the module
+    docstring); at most ``workers`` cycles run at once, and at most
+    ``high_water`` requests are admitted and unfinished at a time.
+    """
 
     def __init__(
         self,
         manager: SessionManager,
         workers: int = 4,
-        queue_limit: int = 64,
-        high_water: Optional[int] = None,
+        high_water: int = 64,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if queue_limit < 1:
-            raise ValueError("queue_limit must be at least 1")
-        if high_water is None:
-            high_water = queue_limit
-        if not 1 <= high_water <= queue_limit:
-            raise ValueError(
-                f"high_water must be in [1, queue_limit], got {high_water}"
-            )
+        if high_water < 1:
+            raise ValueError(f"high_water must be at least 1, got {high_water}")
         self.manager = manager
         self.workers = workers
-        self.queue_limit = queue_limit
         self.high_water = high_water
-        self._queue: "queue.Queue[Union[_WorkItem, None]]" = queue.Queue()
+        self._permits = threading.Semaphore(workers)
         self._lock = threading.Lock()
+        #: Notified whenever an admitted request finishes; ``stop`` waits
+        #: on it for the backlog to drain.
+        self._drained = threading.Condition(self._lock)
         self._pending = 0
         self._ewma_service_s = _EWMA_SEED_S
+        #: Threads ``submit`` started that may still be running.
         self._threads: List[threading.Thread] = []
         self._running = False
         #: Total requests rejected by admission control (monotonic).
@@ -221,30 +241,19 @@ class ClarifyService:
 
     def start(self) -> "ClarifyService":
         with self._lock:
-            if self._running:
-                return self
             self._running = True
-        for idx in range(self.workers):
-            thread = threading.Thread(
-                target=self._worker_loop,
-                name=f"clarify-serve-{idx}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
         return self
 
     def stop(self) -> None:
-        """Drain the queue, then stop every worker (idempotent)."""
-        with self._lock:
-            if not self._running:
-                return
+        """Refuse new work, then wait until every admitted request has
+        finished (idempotent)."""
+        with self._drained:
             self._running = False
-        for _ in self._threads:
-            self._queue.put(_STOP)
-        for thread in self._threads:
+            while self._pending:
+                self._drained.wait()
+            threads, self._threads = self._threads, []
+        for thread in threads:
             thread.join()
-        self._threads.clear()
 
     def __enter__(self) -> "ClarifyService":
         return self.start()
@@ -262,14 +271,15 @@ class ClarifyService:
     def _retry_after(self, depth: int) -> float:
         return max(0.001, depth * self._ewma_service_s / self.workers)
 
-    def submit(self, request: ServeRequest) -> Ticket:
+    def _admit(self, request: ServeRequest) -> _WorkItem:
         """Admit one request, or raise :class:`AdmissionError`.
 
         Every request — admitted or rejected — gets a fresh
         :class:`TraceContext`; a rejection still lands in the latency
         histograms (tagged ``rejected``) and the wide-event log, so
         loadgen quantiles are not survivorship-biased toward requests
-        that made it past admission.
+        that made it past admission.  An admitted request is stamped
+        with its session's next sequence number.
 
         Raises ``KeyError`` for an unknown session and ``RuntimeError``
         when the service is not running.
@@ -323,27 +333,44 @@ class ClarifyService:
         with handle.cond:
             seq = handle.submitted_seq
             handle.submitted_seq += 1
-        ticket = Ticket(request, seq)
         telemetry.begin_request(trace, seq=seq)
         with obs.scope(trace=trace):
             obs.count("serve.admitted")
-        self._queue.put(
-            _WorkItem(
-                handle=handle,
-                ticket=ticket,
-                budget=budget,
-                admitted_at=time.perf_counter(),
-                trace=trace,
-            )
+        return _WorkItem(
+            handle=handle,
+            request=request,
+            seq=seq,
+            budget=budget,
+            admitted_at=time.perf_counter(),
+            trace=trace,
         )
+
+    def submit(self, request: ServeRequest) -> Ticket[ServeResponse]:
+        """Admit one request and run it on a thread started for it.
+
+        Returns at once; the ticket resolves to the response.  Raises
+        :class:`AdmissionError` at the high-water mark, ``KeyError`` for
+        an unknown session and ``RuntimeError`` when the service is not
+        running.
+        """
+        item = self._admit(request)
+        ticket: Ticket[ServeResponse] = Ticket()
+        thread = threading.Thread(
+            target=lambda: ticket.resolve(self._execute(item)),
+            name=f"clarify-request-{item.handle.session_id}-{item.seq}",
+            daemon=True,
+        )
+        with self._lock:
+            self._threads = [t for t in self._threads if t.is_alive()]
+            self._threads.append(thread)
+        thread.start()
         return ticket
 
-    def call(
-        self, request: ServeRequest, timeout: Optional[float] = None
-    ) -> ServeResponse:
-        """Submit and wait; admission rejections become ``rejected`` responses."""
+    def call(self, request: ServeRequest) -> ServeResponse:
+        """Admit one request and run it on this thread; admission
+        rejections become ``rejected`` responses."""
         try:
-            ticket = self.submit(request)
+            item = self._admit(request)
         except AdmissionError as exc:
             return ServeResponse(
                 session=request.session,
@@ -354,78 +381,74 @@ class ClarifyService:
                 request_id=exc.trace.request_id if exc.trace else "",
                 trace_id=exc.trace.trace_id if exc.trace else "",
             )
-        response = ticket.wait(timeout)
-        if response is None:
-            raise TimeoutError(
-                f"request for session {request.session!r} still pending "
-                f"after {timeout}s"
-            )
-        return response
+        return self._execute(item)
 
-    # -------------------------------------------------------------- workers
+    # ------------------------------------------------------------ execution
 
-    def _worker_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:  # the _STOP sentinel
-                return
-            try:
-                self._execute(item)
-            finally:
-                with self._lock:
-                    self._pending -= 1
+    def _execute(self, item: _WorkItem) -> ServeResponse:
+        """Run one admitted request on this thread and account for it.
 
-    def _execute(self, item: _WorkItem) -> None:
+        The request waits for its session's turn first and for one of
+        the ``workers`` permits second: a thread that held a permit
+        while it waited for a turn would deadlock one permit and two
+        requests for one session.
+        """
         handle = item.handle
-        ticket = item.ticket
-        with handle.cond:
-            while handle.next_seq != ticket.seq:
-                handle.cond.wait()
-        queue_wait = time.perf_counter() - item.admitted_at
         try:
-            with obs.scope(trace=item.trace, journal=handle.journal), obs.span(
-                "serve.request", session=handle.session_id, seq=ticket.seq
-            ):
-                response = self._run_cycle(item, queue_wait)
-        finally:
             with handle.cond:
-                handle.next_seq += 1
-                handle.completed += 1
-                handle.cond.notify_all()
-        elapsed = time.perf_counter() - item.admitted_at
-        response = dataclasses.replace(
-            response,
-            latency_s=elapsed,
-            queue_wait_s=queue_wait,
-            request_id=item.trace.request_id,
-            trace_id=item.trace.trace_id,
-        )
-        with self._lock:
-            self._ewma_service_s = (
-                0.9 * self._ewma_service_s + 0.1 * (elapsed - queue_wait)
-            )
-        with obs.scope(trace=item.trace):
-            obs.count("serve.requests")
-            obs.count(f"serve.outcome.{response.outcome}")
-            obs.observe("serve.latency", elapsed)
-            obs.observe(f"serve.latency.{response.outcome}", elapsed)
-            obs.observe("serve.queue_wait", queue_wait)
-            obs.observe(f"serve.queue_wait.{response.outcome}", queue_wait)
-            telemetry.finish_request(
-                item.trace,
-                outcome=response.outcome,
+                while handle.next_seq != item.seq:
+                    handle.cond.wait()
+            try:
+                with self._permits:
+                    queue_wait = time.perf_counter() - item.admitted_at
+                    scope = obs.scope(trace=item.trace, journal=handle.journal)
+                    with scope, obs.span(
+                        "serve.request", session=handle.session_id, seq=item.seq
+                    ):
+                        response = self._run_cycle(item, queue_wait)
+            finally:
+                with handle.cond:
+                    handle.next_seq += 1
+                    handle.completed += 1
+                    handle.cond.notify_all()
+            elapsed = time.perf_counter() - item.admitted_at
+            response = dataclasses.replace(
+                response,
                 latency_s=elapsed,
                 queue_wait_s=queue_wait,
-                attempts=response.attempts,
-                llm_calls=response.llm_calls,
-                questions=response.questions,
+                request_id=item.trace.request_id,
+                trace_id=item.trace.trace_id,
             )
-        ticket.resolve(response)
+            with self._lock:
+                self._ewma_service_s = (
+                    0.9 * self._ewma_service_s + 0.1 * (elapsed - queue_wait)
+                )
+            with obs.scope(trace=item.trace):
+                obs.count("serve.requests")
+                obs.count(f"serve.outcome.{response.outcome}")
+                obs.observe("serve.latency", elapsed)
+                obs.observe(f"serve.latency.{response.outcome}", elapsed)
+                obs.observe("serve.queue_wait", queue_wait)
+                obs.observe(f"serve.queue_wait.{response.outcome}", queue_wait)
+                telemetry.finish_request(
+                    item.trace,
+                    outcome=response.outcome,
+                    latency_s=elapsed,
+                    queue_wait_s=queue_wait,
+                    attempts=response.attempts,
+                    llm_calls=response.llm_calls,
+                    questions=response.questions,
+                )
+            return response
+        finally:
+            with self._drained:
+                self._pending -= 1
+                self._drained.notify_all()
 
     def _run_cycle(self, item: _WorkItem, queue_wait: float) -> ServeResponse:
         handle = item.handle
-        request = item.ticket.request
-        seq = item.ticket.seq
+        request = item.request
+        seq = item.seq
         if item.budget is not None and item.budget.expired():
             obs.count("serve.deadline.queue")
             return ServeResponse(

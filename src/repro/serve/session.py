@@ -11,11 +11,11 @@ Concurrency contract: ``ClarifySession`` is not thread-safe (see the
 re-entrancy audit in :mod:`repro.core.workflow`), so each managed
 session carries a condition variable and a FIFO ticket pair
 (``submitted_seq``/``next_seq``).  :class:`repro.serve.service.ClarifyService`
-stamps every accepted request with the session's next ``submitted_seq``
-and a worker only executes a request once ``next_seq`` catches up — so a
-session's requests run strictly in submission order no matter how the
-pool schedules them, which is what makes pooled outcomes identical to a
-serial run.
+stamps every accepted request with the session's next ``submitted_seq``,
+and the thread running a request waits until ``next_seq`` catches up —
+so a session's requests run strictly in submission order however their
+threads are scheduled, which is what makes pooled outcomes identical to
+a serial run.
 
 Journals and durability: pass a :class:`~repro.serve.store.SessionStore`
 and every session records its own
@@ -23,8 +23,8 @@ and every session records its own
 memory by :class:`~repro.serve.store.InMemorySessionStore`, written
 through and fsynced by :class:`~repro.serve.store.DurableSessionStore`).
 The service sets a session's journal in the request scope around each
-of its requests, so the per-session streams stay replayable even under
-a concurrent pool.  After a crash, :meth:`SessionManager.restore_all`
+of its requests, so the per-session streams stay replayable even when
+many sessions run at once.  After a crash, :meth:`SessionManager.restore_all`
 rebuilds every open session bit-exactly from its journal via
 deterministic replay, and :meth:`ManagedSession.replayed_response`
 serves re-sent pre-crash requests idempotently.

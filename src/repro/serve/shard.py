@@ -12,8 +12,8 @@ serving semantic:
   resize moves only the sessions whose arc changed.
 * :class:`ShardProcess` — one ``clarify serve`` subprocess speaking the
   existing JSONL stdin/stdout protocol, with a ``tag`` field added so
-  replies may arrive out of order (the shard pipelines tagged requests
-  through its worker pool instead of handling one line at a time).
+  replies may arrive out of order (the shard runs each tagged request on
+  a thread of its own instead of handling one line at a time).
   Every shard owns a :class:`~repro.serve.store.DurableSessionStore`
   directory, so a ``SIGKILL`` loses nothing that reached a journal.
 * :class:`ShardedCluster` — the thin router: routes ``open`` /
@@ -55,12 +55,12 @@ import sys
 import tempfile
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.errors import ClarifyError
 from repro.obs import telemetry
 from repro.serve.loadgen import _fingerprint, generate_workload
-from repro.serve.service import AdmissionError
+from repro.serve.service import AdmissionError, ServeResponse, Ticket
 
 #: Seed for the router's service-time EWMA before any reply has landed.
 _EWMA_SEED_S = 0.02
@@ -115,37 +115,16 @@ class HashRing:
         return {sid: self.shard_for(sid) for sid in session_ids}
 
 
-class PendingCall:
-    """One in-flight JSONL command awaiting its tagged reply."""
-
-    def __init__(self, command: Dict[str, Any]) -> None:
-        self.command = command
-        self._event = threading.Event()
-        self.payload: Optional[Dict[str, Any]] = None
-
-    def resolve(self, payload: Dict[str, Any]) -> None:
-        self.payload = payload
-        self._event.set()
-
-    def wait(self, timeout: Optional[float] = None) -> Optional[Dict[str, Any]]:
-        """The reply payload, or None if ``timeout`` expires first."""
-        if not self._event.wait(timeout):
-            return None
-        return self.payload
-
-    @property
-    def done(self) -> bool:
-        return self._event.is_set()
-
-
 class ShardProcess:
     """One ``clarify serve`` subprocess plus its pipe bookkeeping.
 
     Commands are written as JSONL with a unique ``tag``; a reader
-    thread pairs each tagged reply back to its :class:`PendingCall`.
-    After :meth:`kill` + :meth:`restart`, every still-unanswered
-    command is re-sent in original order — the shard's journal-backed
-    dedupe makes the re-sends idempotent.
+    thread pairs each tagged reply back to its
+    :class:`~repro.serve.service.Ticket`.  After :meth:`kill` +
+    :meth:`restart`, every still-unanswered command is re-sent in
+    original order — the shard's journal-backed dedupe makes the
+    re-sends idempotent.  ``workers`` and ``high_water`` are the shard
+    service's (``clarify serve --workers`` / ``--high-water``).
     """
 
     def __init__(
@@ -153,14 +132,14 @@ class ShardProcess:
         index: int,
         store_dir: str,
         workers: int = 4,
-        queue_limit: int = 128,
+        high_water: int = 128,
         max_attempts: int = 3,
         backend: str = "simulated",
     ) -> None:
         self.index = index
         self.store_dir = store_dir
         self.workers = workers
-        self.queue_limit = queue_limit
+        self.high_water = high_water
         self.max_attempts = max_attempts
         self.backend = backend
         self.restarts = 0
@@ -169,8 +148,8 @@ class ShardProcess:
         self._reader: Optional[threading.Thread] = None
         self._write_lock = threading.Lock()
         self._pending_lock = threading.Lock()
-        self._pending: Dict[str, PendingCall] = {}
-        self._order: List[str] = []
+        #: Unanswered commands by tag, in the order they were sent.
+        self._pending: Dict[str, Tuple[Dict[str, Any], Ticket[Dict[str, Any]]]] = {}
         self._tags = 0
 
     # ----------------------------------------------------------- lifecycle
@@ -183,8 +162,8 @@ class ShardProcess:
             "serve",
             "--workers",
             str(self.workers),
-            "--queue-limit",
-            str(self.queue_limit),
+            "--high-water",
+            str(self.high_water),
             "--max-attempts",
             str(self.max_attempts),
             "--backend",
@@ -236,8 +215,7 @@ class ShardProcess:
         self.restarts += 1
         self.spawn(restore=True)
         with self._pending_lock:
-            self._order = [t for t in self._order if t in self._pending]
-            commands = [self._pending[t].command for t in self._order]
+            commands = [command for command, _ in self._pending.values()]
         for command in commands:
             self._write(command)
 
@@ -276,18 +254,17 @@ class ShardProcess:
 
     # ------------------------------------------------------------- the pipe
 
-    def send(self, command: Dict[str, Any]) -> PendingCall:
-        """Queue a tagged command; the reply resolves the returned call."""
+    def send(self, command: Dict[str, Any]) -> Ticket[Dict[str, Any]]:
+        """Write a tagged command; its reply resolves the returned ticket."""
         with self._pending_lock:
             self._tags += 1
             tag = f"s{self.index}-{self._tags}"
             tagged = dict(command)
             tagged["tag"] = tag
-            call = PendingCall(tagged)
-            self._pending[tag] = call
-            self._order.append(tag)
+            ticket: Ticket[Dict[str, Any]] = Ticket()
+            self._pending[tag] = (tagged, ticket)
         self._write(tagged)
-        return call
+        return ticket
 
     def pending_count(self) -> int:
         with self._pending_lock:
@@ -321,13 +298,13 @@ class ShardProcess:
             if tag is None:
                 continue
             with self._pending_lock:
-                call = self._pending.pop(tag, None)
-            if call is None:
+                entry = self._pending.pop(tag, None)
+            if entry is None:
                 continue
             hook = self.on_reply
             if hook is not None:
                 hook(self.index, payload)
-            call.resolve(payload)
+            entry[1].resolve(payload)
 
 
 class ShardedCluster:
@@ -338,8 +315,8 @@ class ShardedCluster:
     cluster's; breaching either raises
     :class:`~repro.serve.service.AdmissionError` with an EWMA-estimated
     ``retry_after_s``, exactly like the in-process service — the shard
-    processes run with twice the per-shard mark so router admission is
-    the binding constraint.
+    processes run with twice the per-shard mark as their own
+    ``high_water`` so router admission is the binding constraint.
     """
 
     def __init__(
@@ -372,7 +349,7 @@ class ShardedCluster:
                 index,
                 store_dir=os.path.join(self.store_root, f"shard-{index:02d}"),
                 workers=workers_per_shard,
-                queue_limit=max(2 * high_water, 8),
+                high_water=max(2 * high_water, 8),
                 max_attempts=max_attempts,
                 backend=backend,
             )
@@ -454,7 +431,7 @@ class ShardedCluster:
 
     def submit(
         self, session_id: str, intent: str, target: str
-    ) -> PendingCall:
+    ) -> Ticket[Dict[str, Any]]:
         """Route one request, or raise :class:`AdmissionError`.
 
         The router stamps the request with (a) the session's next
@@ -578,37 +555,6 @@ class ShardCampaignReport:
         return dataclasses.asdict(self)
 
 
-_OUTCOME_KEY_FIELDS = (
-    "session",
-    "seq",
-    "outcome",
-    "position",
-    "llm_calls",
-    "questions",
-    "attempts",
-    "overlaps",
-    "gate_warnings",
-    "config_sha256",
-)
-
-
-def _wire_outcome_key(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """A reply payload reduced to the schedule-independent surface.
-
-    Mirrors :meth:`~repro.serve.service.ServeResponse.outcome_key`
-    field for field, so sharded fingerprints compare byte-for-byte
-    against serial/pooled ones.
-    """
-    key = {field: payload.get(field) for field in _OUTCOME_KEY_FIELDS}
-    key["llm_calls"] = int(key["llm_calls"] or 0)
-    key["questions"] = int(key["questions"] or 0)
-    key["attempts"] = int(key["attempts"] or 0)
-    key["overlaps"] = list(key["overlaps"] or [])
-    key["gate_warnings"] = list(key["gate_warnings"] or [])
-    key["config_sha256"] = str(key["config_sha256"] or "")
-    return key
-
-
 def run_sharded_loadgen(
     sessions: int = 16,
     requests_per_session: int = 2,
@@ -653,7 +599,7 @@ def run_sharded_loadgen(
         [spec.session_id for spec in workload]
     )
     rejected = 0
-    pendings: List[PendingCall] = []
+    pendings: List[Ticket[Dict[str, Any]]] = []
     t_start = time.perf_counter()
     with cluster:
         for spec in workload:
@@ -713,7 +659,9 @@ def run_sharded_loadgen(
         wall_s=wall,
         throughput_rps=len(resolved) / wall if wall > 0 else 0.0,
         outcomes=dict(sorted(outcomes.items())),
-        fingerprint=_fingerprint([_wire_outcome_key(p) for p in resolved]),
+        fingerprint=_fingerprint(
+            [ServeResponse.from_dict(p).outcome_key() for p in resolved]
+        ),
         rejected_submissions=rejected,
         unresolved=len(pendings) - len(resolved),
         kills=cluster.kills,
@@ -731,7 +679,6 @@ def run_sharded_loadgen(
 __all__ = [
     "ClusterError",
     "HashRing",
-    "PendingCall",
     "ShardCampaignReport",
     "ShardProcess",
     "ShardedCluster",

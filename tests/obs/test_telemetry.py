@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import threading
 import urllib.request
 
@@ -29,6 +30,53 @@ class TestTraceContext:
         assert a.trace_id != b.trace_id
         assert a.request_id.startswith("req-")
         assert a.request_id != b.request_id
+
+    def test_mint_trace_needs_no_urandom(self, monkeypatch):
+        # os.urandom releases the interpreter lock; minting must not
+        # call it (nor anything built on it, such as uuid.uuid4).
+        def refuse(size):
+            raise AssertionError("mint_trace called os.urandom")
+
+        monkeypatch.setattr(os, "urandom", refuse)
+        minted = [[] for _ in range(4)]
+        threads = [
+            threading.Thread(
+                target=lambda out=out: out.extend(
+                    tele.mint_trace() for _ in range(2500)
+                )
+            )
+            for out in minted
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+        traces = [trace for out in minted for trace in out]
+        assert len(traces) == 10000
+        hex_digits = set("0123456789abcdef")
+        assert all(
+            len(t.trace_id) == 32 and set(t.trace_id) <= hex_digits
+            for t in traces
+        )
+        assert len({t.trace_id for t in traces}) == len(traces)
+        assert len({t.request_id for t in traces}) == len(traces)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_mints_other_ids(self):
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.write(write_fd, tele.mint_trace().trace_id.encode())
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        with os.fdopen(read_fd) as pipe:
+            child_id = pipe.read()
+        os.waitpid(pid, 0)
+        assert len(child_id) == 32
+        assert child_id != tele.mint_trace().trace_id
 
     def test_mint_trace_client_supplied_request_id(self):
         trace = tele.mint_trace(session_id="s1", request_id="mine-42")

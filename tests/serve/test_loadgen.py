@@ -2,13 +2,28 @@
 
 import io
 import json
+import time
 
 from repro.cli import main
+from repro.llm.client import LLMClient
+from repro.llm.simulated import SimulatedLLM
 from repro.serve import run_loadgen
 
 INTENT = (
     "Write a route-map stanza that permits routes with local-preference 300."
 )
+
+
+class SlowLLM(LLMClient):
+    """The simulated LLM behind a 5 ms wait off the interpreter lock, as
+    a remote backend's round trip would be."""
+
+    def __init__(self) -> None:
+        self._inner = SimulatedLLM()
+
+    def complete(self, system: str, prompt: str) -> str:
+        time.sleep(0.005)
+        return self._inner.complete(system, prompt)
 
 
 class TestRunLoadgen:
@@ -56,13 +71,17 @@ class TestRunLoadgen:
         assert sum(report.outcomes.values()) == report.requests
 
     def test_tight_high_water_forces_retries_but_everything_lands(self):
+        # Each submit hands the interpreter lock to its request's new
+        # thread, so CPU-bound cycles shorter than a switch interval can
+        # finish before the submit loop runs again and no backlog forms.
+        # Cycles that wait on the LLM outlast the loop.
         report = run_loadgen(
             sessions=6,
             requests_per_session=2,
             workers=2,
             seed=2025,
-            queue_limit=2,
             high_water=2,
+            llm_factory=SlowLLM,
         )
         assert report.rejected_submissions > 0
         assert report.outcomes == {"applied": 12}

@@ -11,11 +11,11 @@ import warnings
 import pytest
 
 from repro.serve.loadgen import generate_workload, run_checks, run_loadgen
+from repro.serve.service import ServeResponse
 from repro.serve.shard import (
     HashRing,
     ShardedCluster,
     ShardProcess,
-    _wire_outcome_key,
     run_sharded_loadgen,
 )
 
@@ -150,8 +150,9 @@ class TestCrashRecoveryProtocol:
             ).wait(60.0)
             assert resent is not None
             assert resent.get("recovered") is True
-            assert _wire_outcome_key(resent) == _wire_outcome_key(
-                originals[victim_sid]
+            assert (
+                ServeResponse.from_dict(resent).outcome_key()
+                == ServeResponse.from_dict(originals[victim_sid]).outcome_key()
             )
 
     def test_idempotent_open_after_restore(self, tmp_path):

@@ -55,7 +55,7 @@ def serve_one(request, **service_kwargs):
     manager = SessionManager(llm=SimulatedLLM())
     manager.open(request.session)
     with ClarifyService(manager, workers=1, **service_kwargs) as service:
-        return service.call(request, timeout=60)
+        return service.call(request)
 
 
 class TestTracePropagation:
@@ -125,8 +125,7 @@ class TestViewsAgree:
         with obs.recording(recorder):
             with ClarifyService(manager, workers=1) as service:
                 response = service.call(
-                    ServeRequest("s0", WALKTHROUGH_INTENT, WALKTHROUGH_TARGET),
-                    timeout=60,
+                    ServeRequest("s0", WALKTHROUGH_INTENT, WALKTHROUGH_TARGET)
                 )
         assert response.outcome == "applied" and response.questions > 0
         totals = dict.fromkeys(tele.PHASES, 0.0)
@@ -152,9 +151,7 @@ class TestNoSurvivorshipBias:
         manager.open("s1")
         hub = tele.install_hub()
         with obs.recording() as rec:
-            with ClarifyService(
-                manager, workers=1, queue_limit=4, high_water=1
-            ) as service:
+            with ClarifyService(manager, workers=1, high_water=1) as service:
                 ticket = service.submit(
                     ServeRequest(session="s0", intent=INTENT, target="OUT")
                 )
