@@ -6,10 +6,13 @@ Subcommands::
     clarify overlaps   the §3 overlap analysis over a config file
     clarify compare    differential examples between two route-maps
     clarify eval       the §5 evaluation (Figure 4 + global policies)
-    clarify corpus     generate a §3 synthetic corpus and report stats
+    clarify list-add   one prefix-list insertion (the §7 extension)
     clarify trace      one instrumented cycle: span tree + metric summary
+    clarify campaign   a §3 overlap study (or the §5 evaluation) across
+                       a process pool; --workers 1 runs it in-process
     clarify lint       symbolic static analysis: shadowed/conflicting
                        rules, dangling references, naming drift
+    clarify netlint    network-wide static analysis over a device set
     clarify replay     re-drive a recorded journal with zero LLM calls
                        and verify it matches byte for byte
     clarify bench-check  diff a benchmark metric snapshot against the
@@ -37,8 +40,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
+import os
 import sys
-from typing import List, Optional
+import tempfile
+from typing import Dict, List, Optional
 
 from repro.config import parse_config, render_config
 from repro.core import ClarifySession, DisambiguationMode, ScriptedOracle
@@ -110,20 +116,65 @@ def _journal_scope(path: Optional[str]):
         yield journal
 
 
+def _answers(text: str) -> List[int]:
+    """Parse ``--answers``: comma-separated 1s and 2s, else a usage error."""
+    answers = [answer.strip() for answer in text.split(",")]
+    if not all(answer in ("1", "2") for answer in answers):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated 1s and 2s, got {text!r}"
+        )
+    return [int(answer) for answer in answers]
+
+
+def _mode(args: argparse.Namespace) -> DisambiguationMode:
+    """The disambiguation mode ``--top-bottom`` selects."""
+    if args.top_bottom:
+        return DisambiguationMode.TOP_BOTTOM
+    return DisambiguationMode.FULL
+
+
+def _campus_size(scale: float) -> Dict[str, int]:
+    """``generate_campus_corpus`` sizes for ``scale`` times the paper's."""
+    from repro.synth.campus import TOTAL_ACLS, TOTAL_ROUTE_MAPS
+
+    return {
+        "total_acls": max(1, round(TOTAL_ACLS * scale)),
+        "route_maps": max(1, round(TOTAL_ROUTE_MAPS * scale)),
+    }
+
+
+def _corpus(which: str, seed: int, scale: float):
+    """Generate the ``campus`` or ``cloud`` §3 corpus at ``scale``."""
+    if which == "cloud":
+        from repro.synth import generate_cloud_corpus
+
+        return generate_cloud_corpus(seed=seed, scale=scale)
+    from repro.synth import generate_campus_corpus
+
+    return generate_campus_corpus(seed=seed, **_campus_size(scale))
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` plus a newline to ``path`` (temp file + rename)."""
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+            handle.write("\n")
+        os.replace(tmp_path, path)
+    except BaseException:
+        os.unlink(tmp_path)
+        raise
+
+
 def cmd_add(args: argparse.Namespace) -> int:
     store = _read_config(args.config)
-    if args.answers:
-        oracle = ScriptedOracle([int(a) for a in args.answers.split(",")])
-    else:
-        oracle = StdioOracle()
-    mode = (
-        DisambiguationMode.TOP_BOTTOM
-        if args.top_bottom
-        else DisambiguationMode.FULL
-    )
+    oracle = ScriptedOracle(args.answers) if args.answers else StdioOracle()
     with _journal_scope(args.journal):
         session = ClarifySession(
-            store=store, llm=SimulatedLLM(), oracle=oracle, mode=mode
+            store=store, llm=SimulatedLLM(), oracle=oracle, mode=_mode(args)
         )
         try:
             report = session.request(args.intent, args.target)
@@ -238,10 +289,7 @@ def cmd_list_add(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.answers:
-        oracle = ScriptedOracle([int(a) for a in args.answers.split(",")])
-    else:
-        oracle = StdioOracle()
+    oracle = ScriptedOracle(args.answers) if args.answers else StdioOracle()
     try:
         result = disambiguate_prefix_list_entry(
             store, args.target, entry, oracle
@@ -274,19 +322,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
     else:
         store = parse_config(WALKTHROUGH_CONFIG)
     intent = args.intent if args.intent else WALKTHROUGH_INTENT
-    if args.answers:
-        oracle = ScriptedOracle([int(a) for a in args.answers.split(",")])
-    else:
-        oracle = FirstOptionOracle()
-    mode = (
-        DisambiguationMode.TOP_BOTTOM
-        if args.top_bottom
-        else DisambiguationMode.FULL
+    oracle = (
+        ScriptedOracle(args.answers) if args.answers else FirstOptionOracle()
     )
     recorder = obs.Recorder()
     with _journal_scope(args.journal), obs.recording(recorder):
         session = ClarifySession(
-            store=store, llm=SimulatedLLM(), oracle=oracle, mode=mode
+            store=store, llm=SimulatedLLM(), oracle=oracle, mode=_mode(args)
         )
         try:
             report = session.request(intent, args.target)
@@ -319,39 +361,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def cmd_corpus(args: argparse.Namespace) -> int:
-    from repro.overlap import (
-        AclCorpusStats,
-        RouteMapCorpusStats,
-        acl_overlap_report,
-        route_map_overlap_report,
-    )
-
-    if args.which == "cloud":
-        from repro.synth import generate_cloud_corpus
-
-        corpus = generate_cloud_corpus(seed=args.seed, scale=args.scale)
-    else:
-        from repro.synth import generate_campus_corpus
-        from repro.synth.campus import TOTAL_ACLS, TOTAL_ROUTE_MAPS
-
-        corpus = generate_campus_corpus(
-            seed=args.seed,
-            total_acls=max(1, round(TOTAL_ACLS * args.scale)),
-            route_maps=max(1, round(TOTAL_ROUTE_MAPS * args.scale)),
-        )
-    acl_stats = AclCorpusStats.collect(
-        acl_overlap_report(acl) for acl in corpus.acls
-    )
-    rm_stats = RouteMapCorpusStats.collect(
-        route_map_overlap_report(rm, corpus.store) for rm in corpus.route_maps
-    )
-    print(acl_stats.render())
-    print()
-    print(rm_stats.render())
-    return 0
-
-
 def cmd_campaign(args: argparse.Namespace) -> int:
     """Run a §3 overlap study (or the §5 evaluation) as a parallel campaign.
 
@@ -362,18 +371,13 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
     from repro.perf import campaign
 
-    workers = 1 if args.serial else args.workers
-
     def run(worker_count: Optional[int]):
         if args.which == "campus":
-            from repro.synth.campus import TOTAL_ACLS, TOTAL_ROUTE_MAPS
-
             acl_stats, rm_stats, _, _ = campaign.campus_overlap_study(
                 workers=worker_count,
                 chunks=args.chunks,
                 seed=args.seed if args.seed is not None else 1421,
-                total_acls=max(1, round(TOTAL_ACLS * args.scale)),
-                route_maps=max(1, round(TOTAL_ROUTE_MAPS * args.scale)),
+                **_campus_size(args.scale),
             )
             return acl_stats, rm_stats
         if args.which == "cloud":
@@ -408,7 +412,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         serial_outcome = run(1)
         serial_elapsed = time.perf_counter() - start
         start = time.perf_counter()
-        parallel_outcome = run(workers)
+        parallel_outcome = run(args.workers)
         parallel_elapsed = time.perf_counter() - start
         if serial_outcome != parallel_outcome:
             print("error: serial and parallel results differ", file=sys.stderr)
@@ -422,7 +426,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         )
         return 0
 
-    render(run(workers))
+    render(run(args.workers))
     return 0
 
 
@@ -443,22 +447,14 @@ def cmd_lint(args: argparse.Namespace) -> int:
     with_witnesses = not args.no_witness
 
     if args.corpus == "campus":
-        from repro.synth import generate_campus_corpus
-        from repro.synth.campus import TOTAL_ACLS, TOTAL_ROUTE_MAPS
-
-        corpus = generate_campus_corpus(
-            seed=args.seed,
-            total_acls=max(1, round(TOTAL_ACLS * args.scale)),
-            route_maps=max(1, round(TOTAL_ROUTE_MAPS * args.scale)),
+        result = lint_campus_corpus(
+            _corpus("campus", args.seed, args.scale),
+            with_witnesses=with_witnesses,
         )
-        result = lint_campus_corpus(corpus, with_witnesses=with_witnesses)
         print(result.render())
         return 0 if result.matches_expected else 1
     if args.corpus == "cloud":
-        from repro.synth import generate_cloud_corpus
-
-        corpus = generate_cloud_corpus(seed=args.seed, scale=args.scale)
-        store = corpus.store
+        store = _corpus("cloud", args.seed, args.scale).store
         title = "cloud corpus"
     elif args.config:
         store = _read_config(args.config)
@@ -482,9 +478,6 @@ def cmd_netlint(args: argparse.Namespace) -> int:
     threshold, 3 when ``--baseline`` is given and the rendered JSON
     report differs from the blessed baseline byte for byte.
     """
-    import os
-    import tempfile
-
     from repro.config.device import parse_device
     from repro.lint import render_json, render_text
     from repro.lint.diagnostics import Severity
@@ -505,23 +498,10 @@ def cmd_netlint(args: argparse.Namespace) -> int:
             with open(path) as handle:
                 devices.append(parse_device(handle.read()))
         title = f"{len(devices)} device file(s)"
-    elif args.corpus == "campus":
-        from repro.synth import generate_campus_corpus
-        from repro.synth.campus import TOTAL_ACLS, TOTAL_ROUTE_MAPS
-
-        corpus = generate_campus_corpus(
-            seed=args.seed,
-            total_acls=max(1, round(TOTAL_ACLS * args.scale)),
-            route_maps=max(1, round(TOTAL_ROUTE_MAPS * args.scale)),
-        )
+    elif args.corpus:
+        corpus = _corpus(args.corpus, args.seed, args.scale)
         devices = corpus.devices(args.device_count)
-        title = f"campus corpus ({len(devices)} devices)"
-    elif args.corpus == "cloud":
-        from repro.synth import generate_cloud_corpus
-
-        corpus = generate_cloud_corpus(seed=args.seed, scale=args.scale)
-        devices = corpus.devices(args.device_count)
-        title = f"cloud corpus ({len(devices)} devices)"
+        title = f"{args.corpus} corpus ({len(devices)} devices)"
     else:
         devices = seed_devices(
             inject_shadow=args.inject_shadow,
@@ -551,17 +531,7 @@ def cmd_netlint(args: argparse.Namespace) -> int:
         print(render_text(report, title=title))
 
     if args.output:
-        directory = os.path.dirname(args.output) or "."
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(rendered_json)
-                handle.write("\n")
-            os.replace(tmp_path, args.output)
-        except BaseException:
-            os.unlink(tmp_path)
-            raise
+        _write_atomic(args.output, rendered_json)
 
     if args.baseline:
         try:
@@ -648,105 +618,14 @@ def cmd_bench_check(args: argparse.Namespace) -> int:
 
     Counter mismatches are behavioural regressions and always fail;
     ``span.*`` timing regressions fail unless ``--timing-warn-only``.
-    With ``--slo-report`` a ``clarify loadgen --output`` artifact's SLO
-    verdict is checked too (``--slo-only`` skips the snapshot diff).
-    With ``--perf-snapshot`` the campaign scaling contract inside a
-    ``BENCH_perf.json`` artifact is checked: parallel must not lose to
-    serial by more than ``--campaign-tolerance`` and the serial/parallel
-    results must have been identical (``--perf-only`` skips the
-    snapshot diff).  Exit status: 0 clean, 2 on regression, an alerting
-    SLO, or a scaling violation, 1 on unreadable snapshots/artifacts.
+    Exit status: 0 clean, 2 on regression, 1 on unreadable snapshots.
     """
-    import json as _json
-
     from repro.obs import regress
-
-    perf_failures: List[str] = []
-    if args.perf_snapshot:
-        try:
-            with open(args.perf_snapshot, "r", encoding="utf-8") as handle:
-                perf = _json.load(handle)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read perf snapshot: {exc}", file=sys.stderr)
-            return 1
-        block = perf.get("campaign")
-        if not isinstance(block, dict):
-            print(
-                f"error: {args.perf_snapshot} carries no campaign block "
-                "(regenerate with the perf benchmark suite)",
-                file=sys.stderr,
-            )
-            return 1
-        try:
-            serial_s = float(block["serial_s"])
-            parallel_s = float(block["parallel_2worker_s"])
-        except (KeyError, TypeError, ValueError):
-            print(
-                f"error: {args.perf_snapshot} campaign block is missing "
-                "serial_s/parallel_2worker_s timings",
-                file=sys.stderr,
-            )
-            return 1
-        if not block.get("identical", False):
-            perf_failures.append(
-                "campaign serial and parallel results were NOT identical"
-            )
-        allowed = serial_s * (1.0 + args.campaign_tolerance)
-        if parallel_s > allowed:
-            perf_failures.append(
-                f"campaign parallel_2worker_s {parallel_s:.4f}s exceeds "
-                f"serial_s {serial_s:.4f}s by more than "
-                f"{args.campaign_tolerance:.0%} (limit {allowed:.4f}s)"
-            )
-        for failure in perf_failures:
-            print(f"PERF SCALING: {failure}", file=sys.stderr)
-        if not perf_failures:
-            print(
-                f"campaign scaling: parallel {parallel_s:.4f}s vs serial "
-                f"{serial_s:.4f}s (identical results) ok"
-            )
-        if args.perf_only:
-            return 2 if perf_failures else 0
-
-    slo_failures: List[str] = []
-    if args.slo_report:
-        try:
-            with open(args.slo_report, "r", encoding="utf-8") as handle:
-                artifact = _json.load(handle)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read SLO report: {exc}", file=sys.stderr)
-            return 1
-        slo_block = (
-            artifact.get("loadgen", {}).get("telemetry", {}).get("slo")
-        )
-        if slo_block is None:
-            print(
-                f"error: {args.slo_report} carries no telemetry/slo block "
-                "(run clarify loadgen with telemetry on)",
-                file=sys.stderr,
-            )
-            return 1
-        alerting = slo_block.get("alerting", [])
-        if alerting:
-            slo_failures = [str(name) for name in alerting]
-            for name in slo_failures:
-                print(f"SLO ALERTING: {name}", file=sys.stderr)
-        else:
-            print(
-                f"slo: {len(slo_block.get('objectives', []))} objective(s) ok "
-                f"over {slo_block.get('events', 0)} event(s)"
-            )
-        if args.slo_only:
-            return 2 if slo_failures else 0
 
     try:
         baseline = regress.load_snapshot(args.baseline)
         current = regress.load_snapshot(args.current)
-        tolerances = regress.Tolerances(
-            counter_rel=args.counter_rel,
-            timing_max_ratio=args.timing_max_ratio,
-            timing_warn_only=args.timing_warn_only,
-        )
+        tolerances = regress.Tolerances(timing_warn_only=args.timing_warn_only)
         report = regress.compare_snapshots(baseline, current, tolerances)
     except regress.SnapshotError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -755,7 +634,7 @@ def cmd_bench_check(args: argparse.Namespace) -> int:
         print(regress.render_json(report))
     else:
         print(regress.render_text(report, verbose=args.verbose))
-    return 0 if report.ok and not slo_failures and not perf_failures else 2
+    return 0 if report.ok else 2
 
 
 def _int_field(command: dict, key: str) -> int:
@@ -933,7 +812,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     ``clarify tail``.
     """
     import json as _json
-    import os
     import threading
 
     from repro import obs
@@ -1091,10 +969,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
                         continue
                     # Tagged requests pipeline: submit now (admission and
                     # the session's sequence number follow stdin order),
-                    # answer from a waiter thread when the ticket
+                    # answer from the request's own thread once it
                     # resolves, and keep reading stdin meanwhile.
                     try:
-                        ticket = service.submit(request)
+                        service.submit(
+                            request, on_done=functools.partial(send_response, tag)
+                        )
                     except AdmissionError as exc:
                         reply(
                             tag,
@@ -1105,14 +985,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                             retry_after_s=exc.retry_after_s,
                             error=str(exc),
                         )
-                        continue
-                    threading.Thread(
-                        target=lambda t=ticket, g=tag: send_response(
-                            g, t.wait()
-                        ),
-                        name=f"serve-reply-{tag}",
-                        daemon=True,
-                    ).start()
                 elif op == "close":
                     reply(
                         tag,
@@ -1215,8 +1087,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     objective is alerting, or a check failed.
     """
     import json as _json
-    import os
-    import tempfile
 
     from repro import obs
     from repro.obs import slo as slo_mod
@@ -1279,17 +1149,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         "legs": run.to_dict(),
     }
     if args.output:
-        directory = os.path.dirname(args.output) or "."
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(_json.dumps(payload, indent=1, sort_keys=True))
-                handle.write("\n")
-            os.replace(tmp_path, args.output)
-        except BaseException:
-            os.unlink(tmp_path)
-            raise
+        _write_atomic(args.output, _json.dumps(payload, indent=1, sort_keys=True))
 
     if args.json:
         print(_json.dumps(payload, indent=1, sort_keys=True))
@@ -1347,30 +1207,116 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_add = sub.add_parser("add", help="run one incremental update")
+    # Flags that several subcommands share, each declared once here and
+    # handed to its subcommands as an argparse parent.
+    def shared() -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False)
+
+    journal = shared()
+    journal.add_argument(
+        "--journal",
+        metavar="PATH",
+        help="record a replayable session journal (JSONL) to PATH",
+    )
+    answers = shared()
+    answers.add_argument(
+        "--answers",
+        type=_answers,
+        help="comma-separated scripted answers, each 1 or 2 (default: ask "
+        "on stdin; trace answers 1 to every question)",
+    )
+    top_bottom = shared()
+    top_bottom.add_argument(
+        "--top-bottom",
+        action="store_true",
+        help="use the prototype's top/bottom-only disambiguation",
+    )
+    report_format = shared()
+    report_format.add_argument(
+        "--format",
+        choices=("text", "json"),
+        default="text",
+        help="report format (default: %(default)s)",
+    )
+    output = shared()
+    output.add_argument(
+        "--output",
+        metavar="PATH",
+        help="write the JSON report to PATH (atomic replace)",
+    )
+    linting = shared()
+    linting.add_argument(
+        "--corpus",
+        choices=("campus", "cloud"),
+        help="analyze a generated §3 corpus instead of files; lint's campus "
+        "mode cross-checks recovered archetype counts against the "
+        "generator, netlint sees no BGP topology (drift-only analysis)",
+    )
+    linting.add_argument(
+        "--seed", type=int, default=2025, help="corpus generator seed"
+    )
+    linting.add_argument(
+        "--scale", type=float, default=0.01, help="corpus size scale factor"
+    )
+    linting.add_argument(
+        "--fail-on",
+        choices=("error", "warning", "info", "none"),
+        default="error",
+        help="exit 1 when a finding at or above this severity is present "
+        "(default: %(default)s)",
+    )
+    serving = shared()
+    serving.add_argument(
+        "--workers",
+        type=int,
+        default=4,
+        help="Clarify cycles run at once (default: %(default)s)",
+    )
+    serving.add_argument(
+        "--deadline",
+        type=float,
+        default=None,
+        help="per-request time budget in seconds (default: none)",
+    )
+    serving.add_argument(
+        "--max-attempts",
+        type=int,
+        default=3,
+        help="synthesis retry threshold per request (default: %(default)s)",
+    )
+    serving.add_argument(
+        "--backend",
+        default="simulated",
+        help="LLM backend spec: 'simulated', 'remote', or a comma-separated "
+        "fallback chain like 'remote,simulated' (default: %(default)s)",
+    )
+    serving.add_argument(
+        "--cache-dir",
+        metavar="DIR",
+        help="durable response cache directory (memoizes verified-pure "
+        "responses across runs)",
+    )
+    serving.add_argument(
+        "--event-log",
+        metavar="PATH",
+        help="append one wide event per request as JSONL to PATH (serve "
+        "also reads CLARIFY_EVENT_LOG); follow it with clarify tail",
+    )
+
+    p_add = sub.add_parser(
+        "add",
+        parents=[answers, top_bottom, journal],
+        help="run one incremental update",
+    )
     p_add.add_argument("intent", help="the English intent for the new stanza")
     p_add.add_argument("--config", help="existing IOS configuration file")
     p_add.add_argument(
         "--target", required=True, help="route-map or ACL to update"
     )
     p_add.add_argument(
-        "--answers",
-        help="comma-separated scripted answers (1/2) instead of stdin",
-    )
-    p_add.add_argument(
-        "--top-bottom",
-        action="store_true",
-        help="use the prototype's top/bottom-only disambiguation",
-    )
-    p_add.add_argument(
         "--diff",
         action="store_true",
         help="print a unified diff of the change instead of the full config",
-    )
-    p_add.add_argument(
-        "--journal",
-        metavar="PATH",
-        help="record a replayable session journal (JSONL) to PATH",
     )
     p_add.set_defaults(func=cmd_add)
 
@@ -1388,22 +1334,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--limit", type=int, default=3)
     p_compare.set_defaults(func=cmd_compare)
 
-    p_eval = sub.add_parser("eval", help="run the §5 evaluation (Figure 4)")
+    p_eval = sub.add_parser(
+        "eval", parents=[journal], help="run the §5 evaluation (Figure 4)"
+    )
     p_eval.add_argument(
         "--from-configs",
         action="store_true",
         help="re-check the policies on a network reassembled from rendered "
         "device configuration files",
     )
-    p_eval.add_argument(
-        "--journal",
-        metavar="PATH",
-        help="record a replayable session journal (JSONL) to PATH",
-    )
     p_eval.set_defaults(func=cmd_eval)
 
     p_list = sub.add_parser(
         "list-add",
+        parents=[answers],
         help="insert a prefix-list entry with disambiguation (§7 extension)",
     )
     p_list.add_argument("--config", help="existing IOS configuration file")
@@ -1412,14 +1356,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.add_argument("--prefix", required=True, help="e.g. 10.1.2.0/24")
     p_list.add_argument("--ge", type=int)
     p_list.add_argument("--le", type=int)
-    p_list.add_argument(
-        "--answers",
-        help="comma-separated scripted answers (1/2) instead of stdin",
-    )
     p_list.set_defaults(func=cmd_list_add)
 
     p_trace = sub.add_parser(
         "trace",
+        parents=[answers, top_bottom, journal],
         help="run one instrumented Clarify cycle and print the span tree "
         "plus metric summary (defaults to the §2 walkthrough)",
     )
@@ -1438,34 +1379,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="route-map or ACL to update (default: %(default)s)",
     )
     p_trace.add_argument(
-        "--answers",
-        help="comma-separated scripted answers (1/2); default answers 1 "
-        "to every question",
-    )
-    p_trace.add_argument(
-        "--top-bottom",
-        action="store_true",
-        help="use the prototype's top/bottom-only disambiguation",
-    )
-    p_trace.add_argument(
         "--json",
         action="store_true",
         help="emit the trace snapshot as JSON instead of text",
     )
-    p_trace.add_argument(
-        "--journal",
-        metavar="PATH",
-        help="record a replayable session journal (JSONL) to PATH",
-    )
     p_trace.set_defaults(func=cmd_trace)
-
-    p_corpus = sub.add_parser(
-        "corpus", help="generate a §3 corpus and report overlap statistics"
-    )
-    p_corpus.add_argument("which", choices=("cloud", "campus"))
-    p_corpus.add_argument("--seed", type=int, default=2025)
-    p_corpus.add_argument("--scale", type=float, default=1.0)
-    p_corpus.set_defaults(func=cmd_corpus)
 
     p_campaign = sub.add_parser(
         "campaign",
@@ -1477,7 +1395,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes (default: the CPU count)",
+        help="worker processes (default: the CPU count; 1 runs in-process)",
     )
     p_campaign.add_argument(
         "--chunks",
@@ -1485,11 +1403,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="chunk count (default: the worker count); fix it to make "
         "the cache.* counters machine-independent",
-    )
-    p_campaign.add_argument(
-        "--serial",
-        action="store_true",
-        help="force the in-process serial fallback (workers=1)",
     )
     p_campaign.add_argument("--seed", type=int, default=None)
     p_campaign.add_argument("--scale", type=float, default=1.0)
@@ -1505,36 +1418,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint",
+        parents=[linting, report_format],
         help="symbolic static analysis of a configuration or §3 corpus",
     )
     p_lint.add_argument(
         "--config",
         help="IOS configuration file to lint (default: the §2 ISP_OUT sample)",
-    )
-    p_lint.add_argument(
-        "--corpus",
-        choices=("campus", "cloud"),
-        help="lint a generated §3 corpus instead of a file; campus mode "
-        "cross-checks recovered archetype counts against the generator",
-    )
-    p_lint.add_argument(
-        "--seed", type=int, default=2025, help="corpus generator seed"
-    )
-    p_lint.add_argument(
-        "--scale", type=float, default=0.01, help="corpus size scale factor"
-    )
-    p_lint.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: %(default)s)",
-    )
-    p_lint.add_argument(
-        "--fail-on",
-        choices=("error", "warning", "info", "none"),
-        default="error",
-        help="exit 1 when a diagnostic at or above this severity is found "
-        "(default: %(default)s)",
     )
     p_lint.add_argument(
         "--select",
@@ -1549,6 +1438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_netlint = sub.add_parser(
         "netlint",
+        parents=[linting, report_format, output],
         help="network-wide static analysis: cross-device conflicts, "
         "drift, and reachability contracts with symbolic witnesses",
     )
@@ -1558,18 +1448,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="device configuration files forming the network (default: "
         "the seeded demo topology)",
-    )
-    p_netlint.add_argument(
-        "--corpus",
-        choices=("campus", "cloud"),
-        help="analyze a generated §3 corpus's devices instead of files "
-        "(no BGP topology: drift-only analysis)",
-    )
-    p_netlint.add_argument(
-        "--seed", type=int, default=2025, help="corpus generator seed"
-    )
-    p_netlint.add_argument(
-        "--scale", type=float, default=0.01, help="corpus size scale factor"
     )
     p_netlint.add_argument(
         "--device-count",
@@ -1614,24 +1492,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="chunk count for the pool (default: calibrated)",
     )
     p_netlint.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: %(default)s)",
-    )
-    p_netlint.add_argument(
-        "--fail-on",
-        choices=("error", "warning", "info", "none"),
-        default="error",
-        help="exit 1 when a finding at or above this severity is present "
-        "(default: %(default)s)",
-    )
-    p_netlint.add_argument(
-        "--output",
-        metavar="PATH",
-        help="write the JSON report to PATH (atomic replace)",
-    )
-    p_netlint.add_argument(
         "--baseline",
         metavar="PATH",
         help="compare the JSON report against a blessed baseline file; "
@@ -1660,6 +1520,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench-check",
+        parents=[report_format],
         help="compare a benchmark metric snapshot against the committed "
         "baseline (perf-regression gate)",
     )
@@ -1674,80 +1535,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="snapshot from the run under test (default: %(default)s)",
     )
     p_bench.add_argument(
-        "--counter-rel",
-        type=float,
-        default=0.0,
-        help="relative tolerance on counter values (default: exact)",
-    )
-    p_bench.add_argument(
-        "--timing-max-ratio",
-        type=float,
-        default=1.5,
-        help="maximum allowed slowdown ratio for span.* timings "
-        "(default: %(default)s)",
-    )
-    p_bench.add_argument(
         "--timing-warn-only",
         action="store_true",
         help="report timing regressions as warnings instead of failures "
         "(for noisy shared runners)",
     )
     p_bench.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: %(default)s)",
-    )
-    p_bench.add_argument(
         "--verbose",
         action="store_true",
         help="show every compared metric, not just the interesting rows",
-    )
-    p_bench.add_argument(
-        "--slo-report",
-        metavar="PATH",
-        help="also check the SLO verdict inside a clarify loadgen "
-        "--output artifact; any alerting objective fails the gate",
-    )
-    p_bench.add_argument(
-        "--slo-only",
-        action="store_true",
-        help="with --slo-report, check only the SLO verdict and skip "
-        "the snapshot diff",
-    )
-    p_bench.add_argument(
-        "--perf-snapshot",
-        metavar="PATH",
-        help="also gate on the campaign scaling contract inside a "
-        "BENCH_perf.json artifact: fails when parallel_2worker_s "
-        "exceeds serial_s by more than --campaign-tolerance, or when "
-        "the serial/parallel results were not identical",
-    )
-    p_bench.add_argument(
-        "--campaign-tolerance",
-        type=float,
-        default=0.10,
-        help="allowed relative slack on parallel vs serial campaign time "
-        "(default: %(default)s; raise on noisy shared runners)",
-    )
-    p_bench.add_argument(
-        "--perf-only",
-        action="store_true",
-        help="with --perf-snapshot, check only the scaling contract and "
-        "skip the snapshot diff",
     )
     p_bench.set_defaults(func=cmd_bench_check)
 
     p_serve = sub.add_parser(
         "serve",
+        parents=[serving],
         help="serve many Clarify sessions concurrently over a JSONL "
         "stdin/stdout request loop",
-    )
-    p_serve.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="Clarify cycles run at once (default: 4)",
     )
     p_serve.add_argument(
         "--high-water",
@@ -1758,30 +1562,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards)",
     )
     p_serve.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        help="default per-request time budget in seconds",
-    )
-    p_serve.add_argument(
-        "--max-attempts",
-        type=int,
-        default=3,
-        help="synthesis retry threshold per request (default: 3)",
-    )
-    p_serve.add_argument(
-        "--backend",
-        default="simulated",
-        help="LLM backend spec: 'simulated', 'remote', or a comma-separated "
-        "fallback chain like 'remote,simulated' (default: %(default)s)",
-    )
-    p_serve.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="durable response cache directory (memoizes verified-pure "
-        "responses across runs)",
-    )
-    p_serve.add_argument(
         "--metrics-port",
         type=int,
         default=None,
@@ -1789,12 +1569,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve a live Prometheus /metrics + /healthz endpoint on "
         "127.0.0.1:PORT (0 picks a free port, announced on stderr; "
         "env: CLARIFY_METRICS_PORT)",
-    )
-    p_serve.add_argument(
-        "--event-log",
-        metavar="PATH",
-        help="append one wide event per request as JSONL to PATH "
-        "(env: CLARIFY_EVENT_LOG); follow it with clarify tail",
     )
     p_serve.add_argument(
         "--store-dir",
@@ -1876,6 +1650,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_loadgen = sub.add_parser(
         "loadgen",
+        parents=[serving, output],
         help="drive the serving layer with a deterministic seeded "
         "campus/cloud intent mix and report throughput + latency",
     )
@@ -1889,12 +1664,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="intents per session (default: 2)",
     )
     p_loadgen.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="Clarify cycles run at once (default: 4)",
-    )
-    p_loadgen.add_argument(
         "--seed", type=int, default=2025, help="workload seed (default: 2025)"
     )
     p_loadgen.add_argument(
@@ -1904,35 +1673,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="FaultyLLM chaos rate in [0, 1] (default: off)",
     )
     p_loadgen.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        help="per-request time budget in seconds (default: none)",
-    )
-    p_loadgen.add_argument(
         "--high-water",
         type=int,
         default=64,
         help="admitted-but-unfinished requests at which new ones are "
         "rejected (default: 64)",
-    )
-    p_loadgen.add_argument(
-        "--max-attempts",
-        type=int,
-        default=3,
-        help="synthesis retry threshold per request (default: 3)",
-    )
-    p_loadgen.add_argument(
-        "--backend",
-        default="simulated",
-        help="LLM backend spec: 'simulated', 'remote', or a comma-separated "
-        "fallback chain like 'remote,simulated' (default: %(default)s)",
-    )
-    p_loadgen.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="durable response cache directory (memoizes verified-pure "
-        "responses across runs)",
     )
     p_loadgen.add_argument(
         "--netwide",
@@ -1967,20 +1712,11 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluation, no trace-coverage check)",
     )
     p_loadgen.add_argument(
-        "--event-log",
-        metavar="PATH",
-        help="append one wide event per request as JSONL to PATH",
-    )
-    p_loadgen.add_argument(
         "--slo",
         metavar="PATH",
         help="evaluate burn rates against the SLO config at PATH instead "
-        "of the built-in default objectives",
-    )
-    p_loadgen.add_argument(
-        "--output",
-        metavar="PATH",
-        help="write the campaign report as JSON to PATH (atomic replace)",
+        "of the built-in default objectives; an alerting objective fails "
+        "the run",
     )
     p_loadgen.add_argument(
         "--json",

@@ -7,8 +7,7 @@ This module compares the two:
 
 * **counters** are behaviour, not timing — the benchmark workload is
   deterministic, so every counter (LLM calls, questions asked, verifier
-  attempts, lint warnings, …) must match the baseline exactly (an
-  optional relative tolerance loosens this for workloads that are not);
+  attempts, lint warnings, …) must match the baseline exactly;
 * **histogram counts** are likewise exact;
 * **timings** — the ``span.*`` histograms produced by a
   ``time_spans=True`` recorder — are noisy, so their mean and p95 are
@@ -43,17 +42,15 @@ class SnapshotError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class Tolerances:
-    """How far the current snapshot may drift from the baseline.
+    """How far the current snapshot's timings may drift from the baseline.
 
-    ``counter_rel`` is a relative tolerance on counter values (0.0 means
-    exact, the default — the benchmark workload is deterministic).
-    ``timing_max_ratio`` bounds how much slower a ``span.*`` histogram's
-    mean/p95 may get before it regresses.  ``timing_warn_only``
-    downgrades timing regressions to warnings (for shared CI runners,
-    where wall-clock noise swamps real signal).
+    Counters always compare exactly.  ``timing_max_ratio`` bounds how
+    much slower a ``span.*`` histogram's mean/p95 may get before it
+    regresses.  ``timing_warn_only`` downgrades timing regressions to
+    warnings (for shared CI runners, where wall-clock noise swamps real
+    signal).
     """
 
-    counter_rel: float = 0.0
     timing_max_ratio: float = 1.5
     timing_warn_only: bool = False
 
@@ -134,18 +131,7 @@ def check_schema_match(
         )
 
 
-def _rel_close(baseline: float, current: float, rel: float) -> bool:
-    if baseline == current:
-        return True
-    if rel <= 0.0:
-        return False
-    scale = max(abs(baseline), abs(current))
-    return abs(current - baseline) <= rel * scale
-
-
-def _compare_counters(
-    base: Dict[str, Any], cur: Dict[str, Any], tol: Tolerances
-) -> List[DeltaRow]:
+def _compare_counters(base: Dict[str, Any], cur: Dict[str, Any]) -> List[DeltaRow]:
     rows: List[DeltaRow] = []
     for name in sorted(set(base) | set(cur)):
         if name not in cur:
@@ -173,7 +159,7 @@ def _compare_counters(
             )
             continue
         b, c = float(base[name]), float(cur[name])
-        if _rel_close(b, c, tol.counter_rel):
+        if b == c:
             rows.append(DeltaRow(name, "counter", STATUS_OK, b, c))
         else:
             rows.append(
@@ -183,8 +169,7 @@ def _compare_counters(
                     STATUS_REGRESSION,
                     b,
                     c,
-                    f"counter changed {b:g} -> {c:g} "
-                    f"(tolerance {tol.counter_rel:g})",
+                    f"counter changed {b:g} -> {c:g}",
                 )
             )
     return rows
@@ -341,7 +326,7 @@ def compare_snapshots(
     check_schema_match(baseline, current)
     tol = tolerances if tolerances is not None else Tolerances()
     rows = _compare_counters(
-        baseline.get("counters", {}), current.get("counters", {}), tol
+        baseline.get("counters", {}), current.get("counters", {})
     )
     rows.extend(
         _compare_histograms(

@@ -253,10 +253,14 @@ def _first_mismatch(
     return None
 
 
-def _split_cycles(
+def split_cycles(
     events: Sequence[JournalEvent],
 ) -> List[List[JournalEvent]]:
-    """Group the journal body into per-cycle event runs."""
+    """Group a journal body into per-cycle event runs (header dropped).
+
+    Raises :class:`ReplayError` when an event precedes the first
+    ``cycle.start``.
+    """
     cycles: List[List[JournalEvent]] = []
     for event in events:
         if event.type == "journal.open":
@@ -289,7 +293,7 @@ def replay_journal(events: Sequence[JournalEvent]) -> ReplayResult:
 
     recorded = list(events)
     validate_journal(recorded)
-    cycles = _split_cycles(recorded)
+    cycles = split_cycles(recorded)
     llm = ReplayLLM(recorded)
     oracle = ReplayOracle(recorded)
 
@@ -362,4 +366,5 @@ __all__ = [
     "ReplayOracle",
     "ReplayResult",
     "replay_journal",
+    "split_cycles",
 ]

@@ -18,8 +18,7 @@ alone flaps.
 
 Configs are plain JSON (see :func:`load_config` for the schema and
 :func:`default_config` for the built-in defaults ``clarify loadgen``
-evaluates).  ``clarify bench-check --slo-report`` turns a recorded
-evaluation into an exit code.
+evaluates).  ``clarify loadgen`` exits 1 when an objective alerts.
 """
 
 from __future__ import annotations

@@ -39,12 +39,14 @@ import contextlib
 import threading
 from collections import OrderedDict
 from typing import (
+    Any,
     Callable,
     Dict,
     Hashable,
     Iterator,
     List,
     Optional,
+    Tuple,
     TypeVar,
     Union,
     cast,
@@ -265,30 +267,35 @@ def disabled() -> Iterator[None]:
 
 @contextlib.contextmanager
 def isolated() -> Iterator[None]:
-    """Run a block from cold caches without leaking counter growth.
+    """Run a block from cold caches, invisible to the enclosing process.
 
-    On entry every table is cleared (a cold start, as in a freshly
-    forked worker process); on exit the tables are cleared again and
-    every hit/miss total is restored to its entry value, so the block's
-    cache activity is invisible to the enclosing process.  The campaign
+    On entry every table's entries are swapped out for an empty table (a
+    cold start, as in a freshly forked worker process); on exit the
+    block's entries are dropped, the caller's come back and every
+    hit/miss total is restored to its entry value.  The campaign
     runner's serial fallback uses this to stay byte-identical — results
-    *and* counters — to a process-pool run, where worker-side totals
-    never reach the parent.
+    *and* counters, the chunk's and the caller's — to a process-pool
+    run, whose worker-side tables and totals never reach the parent.
     """
-    snapshot = [(table, table.hits, table.misses) for table in _REGISTRY]
+    snapshot: List[Tuple[Union[Memo, Interner], int, int, Any]] = [
+        (table, table.hits, table.misses, table._table) for table in _REGISTRY
+    ]
     known = {id(table) for table in _REGISTRY}
-    clear_caches()
+    for table in _REGISTRY:
+        cold: OrderedDict[Hashable, Any] = OrderedDict()
+        table._table = cold
     try:
         yield
     finally:
-        for table, hits, misses in snapshot:
+        for table, hits, misses, entries in snapshot:
             table.hits = hits
             table.misses = misses
+            table._table = entries
         for table in _REGISTRY:
             if id(table) not in known:
                 table.hits = 0
                 table.misses = 0
-        clear_caches()
+                table.clear()
 
 
 def clear_caches() -> None:

@@ -56,6 +56,10 @@ from repro.serve.service import (
 )
 from repro.serve.session import SessionManager
 
+#: How long a campaign waits on one request's ticket: a wedged request
+#: becomes an ``unresolved`` count instead of a hang.
+WAIT_TIMEOUT_S = 120.0
+
 #: Campus archetype: the §2 walkthrough configuration (BGP export policy).
 CAMPUS_CONFIG = """
 ip as-path access-list D0 permit _32$
@@ -352,7 +356,6 @@ def run_loadgen(
     deadline_s: Optional[float] = None,
     high_water: int = 64,
     max_attempts: int = 3,
-    wait_timeout_s: float = 120.0,
     llm_factory: Optional[Callable[[], LLMClient]] = None,
     backend: str = "simulated",
     cache_dir: Optional[str] = None,
@@ -445,7 +448,7 @@ def run_loadgen(
                                 rejected_submissions += 1
                                 time.sleep(min(exc.retry_after_s, 0.05))
                 responses: List[Optional[ServeResponse]] = [
-                    t.wait(wait_timeout_s) for t in tickets
+                    t.wait(WAIT_TIMEOUT_S) for t in tickets
                 ]
         finally:
             if hub is not None:
@@ -810,6 +813,7 @@ __all__ = [
     "SessionSpec",
     "TELEMETRY_BOUND",
     "TELEMETRY_PAIRS",
+    "WAIT_TIMEOUT_S",
     "build_llm_stack",
     "generate_workload",
     "run_checks",

@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from typing import Any, Dict, Generic, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, Generic, List, Optional, Tuple, TypeVar
 
 from repro import obs
 from repro.core.budget import TimeBudget
@@ -345,18 +345,30 @@ class ClarifyService:
             trace=trace,
         )
 
-    def submit(self, request: ServeRequest) -> Ticket[ServeResponse]:
+    def submit(
+        self,
+        request: ServeRequest,
+        on_done: Optional[Callable[[ServeResponse], None]] = None,
+    ) -> Ticket[ServeResponse]:
         """Admit one request and run it on a thread started for it.
 
-        Returns at once; the ticket resolves to the response.  Raises
-        :class:`AdmissionError` at the high-water mark, ``KeyError`` for
-        an unknown session and ``RuntimeError`` when the service is not
-        running.
+        Returns at once; the ticket resolves to the response, and then
+        ``on_done`` (if given) is called with it on the same thread,
+        which :meth:`stop` waits for.  Raises :class:`AdmissionError` at
+        the high-water mark, ``KeyError`` for an unknown session and
+        ``RuntimeError`` when the service is not running.
         """
         item = self._admit(request)
         ticket: Ticket[ServeResponse] = Ticket()
+
+        def run() -> None:
+            response = self._execute(item)
+            ticket.resolve(response)
+            if on_done is not None:
+                on_done(response)
+
         thread = threading.Thread(
-            target=lambda: ticket.resolve(self._execute(item)),
+            target=run,
             name=f"clarify-request-{item.handle.session_id}-{item.seq}",
             daemon=True,
         )

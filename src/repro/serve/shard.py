@@ -20,8 +20,8 @@ serving semantic:
   ``request`` / ``close`` by ring position, stamps every request with a
   router-assigned per-session sequence number and a minted trace id
   (both cross the process hop), and applies **router-side admission
-  control**: per-shard and global high-water marks with an EWMA
-  retry-after, mirroring :class:`~repro.serve.service.ClarifyService`'s
+  control**: a per-shard high-water mark with an EWMA retry-after,
+  mirroring :class:`~repro.serve.service.ClarifyService`'s
   single-process policy one level up.
 
 Crash recovery is first-class: :meth:`ShardedCluster.kill_shard` is a
@@ -59,7 +59,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.errors import ClarifyError
 from repro.obs import telemetry
-from repro.serve.loadgen import _fingerprint, generate_workload
+from repro.serve.loadgen import WAIT_TIMEOUT_S, _fingerprint, generate_workload
 from repro.serve.service import AdmissionError, ServeResponse, Ticket
 
 #: Seed for the router's service-time EWMA before any reply has landed.
@@ -310,13 +310,12 @@ class ShardProcess:
 class ShardedCluster:
     """The router: ring placement + admission + crash recovery.
 
-    ``high_water`` bounds each shard's in-flight requests and
-    ``global_high_water`` (default ``shards * high_water``) bounds the
-    cluster's; breaching either raises
-    :class:`~repro.serve.service.AdmissionError` with an EWMA-estimated
-    ``retry_after_s``, exactly like the in-process service — the shard
-    processes run with twice the per-shard mark as their own
-    ``high_water`` so router admission is the binding constraint.
+    ``high_water`` bounds each shard's in-flight requests; breaching it
+    raises :class:`~repro.serve.service.AdmissionError` with an
+    EWMA-estimated ``retry_after_s``, exactly like the in-process
+    service — the shard processes run with twice the per-shard mark as
+    their own ``high_water`` so router admission is the binding
+    constraint.
     """
 
     def __init__(
@@ -325,24 +324,17 @@ class ShardedCluster:
         workers_per_shard: int = 4,
         store_root: Optional[str] = None,
         high_water: int = 32,
-        global_high_water: Optional[int] = None,
         max_attempts: int = 3,
         backend: str = "simulated",
         deadline_s: Optional[float] = None,
-        replicas: int = DEFAULT_REPLICAS,
     ) -> None:
         if high_water < 1:
             raise ValueError("high_water must be at least 1")
-        self.ring = HashRing(shards, replicas=replicas)
+        self.ring = HashRing(shards)
         self.store_root = store_root or tempfile.mkdtemp(
             prefix="clarify-shards-"
         )
         self.high_water = high_water
-        self.global_high_water = (
-            global_high_water
-            if global_high_water is not None
-            else shards * high_water
-        )
         self.deadline_s = deadline_s
         self.procs = [
             ShardProcess(
@@ -443,16 +435,12 @@ class ShardedCluster:
             shard = self._session_shard.get(session_id)
             if shard is None:
                 raise KeyError(f"unknown session {session_id!r}")
-            total = sum(self._inflight)
-            if (
-                self._inflight[shard] >= self.high_water
-                or total >= self.global_high_water
-            ):
+            if self._inflight[shard] >= self.high_water:
                 self.rejected += 1
                 raise AdmissionError(
                     self._inflight[shard],
                     self.high_water,
-                    self._retry_after(total),
+                    self._retry_after(sum(self._inflight)),
                 )
             self._inflight[shard] += 1
             seq = self._session_seq[session_id]
@@ -563,11 +551,9 @@ def run_sharded_loadgen(
     seed: int = 2025,
     store_root: Optional[str] = None,
     high_water: int = 32,
-    global_high_water: Optional[int] = None,
     max_attempts: int = 3,
     backend: str = "simulated",
     kill_and_restart: bool = False,
-    wait_timeout_s: float = 120.0,
 ) -> ShardCampaignReport:
     """Run the seeded loadgen campaign against a sharded cluster.
 
@@ -591,7 +577,6 @@ def run_sharded_loadgen(
         workers_per_shard=workers_per_shard,
         store_root=store_root,
         high_water=high_water,
-        global_high_water=global_high_water,
         max_attempts=max_attempts,
         backend=backend,
     )
@@ -632,7 +617,7 @@ def run_sharded_loadgen(
         if kill_and_restart:
             target_shard = cluster.shard_of(workload[0].session_id)
             half = len(pendings) // 2
-            poll_deadline = time.monotonic() + wait_timeout_s
+            poll_deadline = time.monotonic() + WAIT_TIMEOUT_S
             while (
                 sum(1 for p in pendings if p.done) < half
                 and time.monotonic() < poll_deadline
@@ -642,7 +627,7 @@ def run_sharded_loadgen(
             cluster.restart_shard(target_shard)
             for round_idx in range(chaos_rounds, requests_per_session):
                 submit_round(round_idx)
-        payloads = [p.wait(wait_timeout_s) for p in pendings]
+        payloads = [p.wait(WAIT_TIMEOUT_S) for p in pendings]
     wall = time.perf_counter() - t_start
 
     resolved = [p for p in payloads if p is not None]

@@ -62,7 +62,7 @@ from repro.obs.journal import (
     dumps_journal,
     loads_journal,
 )
-from repro.obs.replay import replay_journal
+from repro.obs.replay import ReplayError, replay_journal, split_cycles
 
 
 class RestoreError(ClarifyError):
@@ -150,26 +150,6 @@ def complete_prefix(
         if event.type in ("journal.open", "cycle.end", "cycle.error"):
             keep = index + 1
     return list(events[:keep]), len(events) - keep
-
-
-def split_cycles(
-    events: List[JournalEvent],
-) -> List[List[JournalEvent]]:
-    """Group a journal body into per-cycle runs (header dropped)."""
-    cycles: List[List[JournalEvent]] = []
-    for event in events:
-        if event.type == "journal.open":
-            continue
-        if event.type == "cycle.start":
-            cycles.append([event])
-        elif cycles:
-            cycles[-1].append(event)
-        else:
-            raise RestoreError(
-                f"journal event {event.seq} ({event.type}) precedes the "
-                "first cycle.start"
-            )
-    return cycles
 
 
 def _renumbered(events: List[JournalEvent]) -> List[JournalEvent]:
@@ -285,7 +265,10 @@ def rebuild_session(
     from repro.llm.transcript import TranscribingClient
 
     record = snapshot.record
-    cycles = split_cycles(snapshot.events)
+    try:
+        cycles = split_cycles(snapshot.events)
+    except ReplayError as exc:
+        raise RestoreError(str(exc)) from exc
     successful = [
         cycle
         for cycle in cycles
@@ -608,5 +591,4 @@ __all__ = [
     "complete_prefix",
     "rebuild_session",
     "responses_from_events",
-    "split_cycles",
 ]

@@ -47,13 +47,6 @@ class TestCounters:
         cur = make_snapshot({"llm.calls": 20})
         assert not regress.compare_snapshots(base, cur).ok
 
-    def test_relative_tolerance(self):
-        base = make_snapshot({"headerspace.intersections": 1000})
-        cur = make_snapshot({"headerspace.intersections": 1040})
-        tol = regress.Tolerances(counter_rel=0.05)
-        assert regress.compare_snapshots(base, cur, tol).ok
-        assert not regress.compare_snapshots(base, cur).ok
-
     def test_added_and_removed_counters_warn_not_fail(self):
         base = make_snapshot({"old.counter": 1})
         cur = make_snapshot({"new.counter": 2})
@@ -184,13 +177,6 @@ class TestEdgeCases:
         assert not report.ok
         (row,) = report.regressions
         assert row.baseline == 0.0 and row.current == 3.0
-
-    def test_zero_baseline_with_relative_tolerance_still_regresses(self):
-        # rel tolerance scales by max(|b|, |c|): 0 -> 3 is a 100% change.
-        base = make_snapshot({"serve.rejected": 0})
-        cur = make_snapshot({"serve.rejected": 3})
-        tol = regress.Tolerances(counter_rel=0.5)
-        assert not regress.compare_snapshots(base, cur, tol).ok
 
     def test_counter_only_in_current_is_added_not_regression(self):
         base = make_snapshot()

@@ -143,7 +143,9 @@ class TestIsolated:
             memo.lookup("a", lambda: 1)
             assert memo.hits == before[0] + 1
         assert (memo.hits, memo.misses) == before
-        assert len(memo) == 0
+        # The block's entry is gone and the caller's warm one is back.
+        assert len(memo) == 1
+        memo.lookup("warm", lambda: pytest.fail("caller's entry was lost"))
 
     def test_tables_created_inside_are_zeroed(self, scratch_tables):
         with cache.isolated():
@@ -160,4 +162,5 @@ class TestIsolated:
                 memo.lookup("x", lambda: 2)
                 raise RuntimeError("boom")
         assert (memo.hits, memo.misses) == (0, 1)
-        assert len(memo) == 0
+        assert len(memo) == 1
+        memo.lookup("warm", lambda: pytest.fail("caller's entry was lost"))

@@ -192,6 +192,32 @@ class TestPoolModes:
     @pytest.mark.skipif(
         not campaign._pool.fork_available(), reason="fork unavailable"
     )
+    def test_callers_cache_counters_do_not_depend_on_the_engine(self):
+        # An in-process chunk must hand the caller back its warm tables,
+        # as a pool chunk (which never touches them) does.
+        from repro.perf import cache as perf
+        from repro.synth import generate_campus_corpus
+
+        acls = generate_campus_corpus(total_acls=300, route_maps=1).acls
+
+        def callers_counters(pool_mode):
+            perf.clear_caches()
+            before = perf.cache_totals()
+            for acl in acls[:40]:
+                acl_overlap_report(acl)
+            campaign.acl_overlap_campaign(
+                acls, workers=2, chunks=4, pool=pool_mode
+            )
+            for acl in acls[:40]:
+                acl_overlap_report(acl)
+            after = perf.cache_totals()
+            return [after[n] - before[n] for n in ("cache.hits", "cache.misses")]
+
+        assert callers_counters("serial") == callers_counters("persistent")
+
+    @pytest.mark.skipif(
+        not campaign._pool.fork_available(), reason="fork unavailable"
+    )
     def test_persistent_calibration_still_covers_every_payload(self):
         # No pinned chunks: the probe chunk + calibrated rest must cover
         # the payload list exactly once, in order.
@@ -248,7 +274,8 @@ class TestCli:
             [
                 "campaign",
                 "campus",
-                "--serial",
+                "--workers",
+                "1",
                 "--chunks",
                 "2",
                 "--scale",

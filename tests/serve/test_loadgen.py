@@ -2,12 +2,13 @@
 
 import io
 import json
+import threading
 import time
 
 from repro.cli import main
 from repro.llm.client import LLMClient
 from repro.llm.simulated import SimulatedLLM
-from repro.serve import run_loadgen
+from repro.serve import loadgen, run_loadgen
 
 INTENT = (
     "Write a route-map stanza that permits routes with local-preference 300."
@@ -164,7 +165,85 @@ class TestLoadgenCli:
         assert "internal-error" not in payload["loadgen"]["outcomes"]
 
 
+class HeldLLM(LLMClient):
+    """The simulated LLM, holding every prompt that names ``held`` until
+    ``release`` is set, and recording the threads that asked."""
+
+    def __init__(self, held: str) -> None:
+        self._inner = SimulatedLLM()
+        self.held = held
+        self.release = threading.Event()
+        self.held_threads = set()
+
+    def complete(self, system: str, prompt: str) -> str:
+        if self.held in prompt:
+            self.held_threads.add(threading.current_thread())
+            assert self.release.wait(timeout=60), "never released"
+        return self._inner.complete(system, prompt)
+
+
+class ThreadRecordingStdout(io.StringIO):
+    """Stdout that notes which thread wrote each reply line."""
+
+    def __init__(self, on_line) -> None:
+        super().__init__()
+        self.on_line = on_line
+        self.lines = []
+
+    def write(self, text: str) -> int:
+        if text.strip():
+            self.lines.append((threading.current_thread(), json.loads(text)))
+            self.on_line(self.lines[-1][1])
+        return super().write(text)
+
+
 class TestServeCli:
+    def test_tagged_replies_come_from_the_request_threads(self, monkeypatch):
+        # Session a's cycle is held until b's reply is out, so the two
+        # tagged replies arrive out of order, each written by the thread
+        # that ran its cycle.
+        llm = HeldLLM("local-preference 300")
+        build = loadgen.build_llm_stack
+        monkeypatch.setattr(
+            loadgen,
+            "build_llm_stack",
+            lambda **kwargs: build(llm_factory=lambda: llm, **kwargs),
+        )
+        threads_seen = set()
+
+        def on_line(payload):
+            threads_seen.update(t.name for t in threading.enumerate())
+            if payload.get("tag") == "b":
+                llm.release.set()
+
+        stdout = ThreadRecordingStdout(on_line)
+        monkeypatch.setattr("sys.stdout", stdout)
+        lines = [
+            {"op": "open", "session": "a"},
+            {"op": "open", "session": "b"},
+            {"op": "request", "tag": "a", "session": "a",
+             "intent": INTENT, "target": "OUT"},
+            {"op": "request", "tag": "b", "session": "b",
+             "intent": INTENT.replace("300", "200"), "target": "OUT"},
+            {"op": "quit"},
+        ]
+        monkeypatch.setattr(
+            "sys.stdin",
+            io.StringIO("".join(json.dumps(line) + "\n" for line in lines)),
+        )
+        assert main(["serve", "--workers", "2"]) == 0
+        writers = {
+            payload["tag"]: (thread, index)
+            for index, (thread, payload) in enumerate(stdout.lines)
+            if payload.get("op") == "request"
+        }
+        assert set(writers) == {"a", "b"}, "a tagged reply was lost"
+        assert writers["b"][1] < writers["a"][1], "replies came in order"
+        assert llm.held_threads == {writers["a"][0]}
+        assert writers["a"][0].name.startswith("clarify-request-a-")
+        assert all(payload["ok"] for _, payload in stdout.lines)
+        assert not [n for n in threads_seen if n.startswith("serve-reply-")]
+
     def _drive(self, monkeypatch, capsys, lines):
         stdin = io.StringIO("".join(json.dumps(line) + "\n" for line in lines))
         monkeypatch.setattr("sys.stdin", stdin)

@@ -273,23 +273,31 @@ class TestTelemetryCheck:
         assert run.report is result.legs["on-0"]
         assert run.campaigns == 2 * loadgen.TELEMETRY_PAIRS
 
-    def test_cli_artifact_feeds_the_slo_gate(self, tmp_path):
+    def test_cli_alerting_slo_fails_the_run(self, tmp_path, capsys):
         import json
 
         from repro.cli import main
 
-        # Timing decides the bound and the SLO verdict; this test is
-        # about the artifact bench-check reads.
-        out = tmp_path / "BENCH_serve.json"
-        main(
+        # No request finishes in a nanosecond: every event is bad.
+        config = tmp_path / "slo.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "objectives": [
+                        {"name": "impossible", "kind": "latency",
+                         "objective": 0.99, "threshold_s": 1e-9}
+                    ],
+                    "windows": [
+                        {"name": "w", "events": 1, "max_burn_rate": 1.0}
+                    ],
+                }
+            )
+        )
+        code = main(
             [
                 "loadgen", "--sessions", "2", "--requests-per-session", "1",
-                "--workers", "2", "--check", "telemetry",
-                "--output", str(out),
+                "--workers", "1", "--slo", str(config),
             ]
         )
-        payload = json.loads(out.read_text())
-        assert payload["legs"]["campaigns"] == 2 * loadgen.TELEMETRY_PAIRS
-        slo = payload["loadgen"]["telemetry"]["slo"]
-        gate = main(["bench-check", "--slo-report", str(out), "--slo-only"])
-        assert gate == (2 if slo["alerting"] else 0)
+        assert code == 1
+        assert "SLO burn-rate alert: impossible" in capsys.readouterr().err

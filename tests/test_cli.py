@@ -169,17 +169,46 @@ class TestEval:
 
 
 class TestCorpus:
+    """The §3 corpus statistics, run in-process by ``campaign --workers 1``."""
+
     def test_campus_small(self, capsys):
-        code = main(["corpus", "campus", "--scale", "0.01"])
+        code = main(
+            ["campaign", "campus", "--scale", "0.01", "--seed", "2025",
+             "--workers", "1"]
+        )
         assert code == 0
         out = capsys.readouterr().out
         assert "ACLs analysed" in out
         assert "route-maps analysed" in out
 
     def test_cloud_small(self, capsys):
-        code = main(["corpus", "cloud", "--scale", "0.02"])
+        code = main(
+            ["campaign", "cloud", "--scale", "0.02", "--seed", "2025",
+             "--workers", "1"]
+        )
         assert code == 0
         assert "ACLs analysed" in capsys.readouterr().out
+
+
+class TestAnswers:
+    """``--answers`` takes comma-separated 1s and 2s, else exits 2."""
+
+    @pytest.mark.parametrize("answers", ["x", "3", "1,,2"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["add", PAPER_INTENT, "--target", "ISP_OUT"],
+            ["trace"],
+            ["list-add", "--target", "EDGE", "--action", "permit",
+             "--prefix", "10.1.2.0/24"],
+        ],
+        ids=["add", "trace", "list-add"],
+    )
+    def test_bad_answers_are_a_usage_error(self, argv, answers, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--answers", answers])
+        assert exc.value.code == 2
+        assert "expected comma-separated 1s and 2s" in capsys.readouterr().err
 
 
 class TestListAdd:

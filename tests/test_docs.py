@@ -306,7 +306,7 @@ def test_observability_doc_covers_serving_telemetry():
         "max_burn_rate",
         "--metrics-port",
         "--event-log",
-        "--slo-report",
+        "--slo",
         "--check telemetry",
         "--no-telemetry",
         "CLARIFY_METRICS_PORT",
@@ -326,7 +326,7 @@ def test_serving_doc_links_serving_telemetry():
         "request_id",
         "trace_id",
         "clarify tail",
-        "--slo-report",
+        "--slo",
         "--check telemetry",
     ):
         assert needle in text, f"SERVING.md does not mention {needle}"
@@ -349,8 +349,7 @@ def test_performance_doc_covers_perf_layer():
         "subtract_many",
         "CC003",
         "profile_regions",
-        "--perf-snapshot",
-        "--campaign-tolerance",
+        "test_bench_perf_campaign_identity",
         "parallel_2worker_s",
         "reachable_cells",
     ):
