@@ -44,7 +44,7 @@ import functools
 import os
 import sys
 import tempfile
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.config import parse_config, render_config
 from repro.core import ClarifySession, DisambiguationMode, ScriptedOracle
@@ -124,6 +124,18 @@ def _answers(text: str) -> List[int]:
             f"expected comma-separated 1s and 2s, got {text!r}"
         )
     return [int(answer) for answer in answers]
+
+
+def _deadline(text: str) -> float:
+    """Parse ``--deadline``: finite seconds above 0, else a usage error."""
+    from repro.serve.service import deadline_seconds
+
+    try:
+        return deadline_seconds(float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds above 0, got {text!r}"
+        ) from None
 
 
 def _mode(args: argparse.Namespace) -> DisambiguationMode:
@@ -625,8 +637,9 @@ def cmd_bench_check(args: argparse.Namespace) -> int:
     try:
         baseline = regress.load_snapshot(args.baseline)
         current = regress.load_snapshot(args.current)
-        tolerances = regress.Tolerances(timing_warn_only=args.timing_warn_only)
-        report = regress.compare_snapshots(baseline, current, tolerances)
+        report = regress.compare_snapshots(
+            baseline, current, timing_warn_only=args.timing_warn_only
+        )
     except regress.SnapshotError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -637,61 +650,116 @@ def cmd_bench_check(args: argparse.Namespace) -> int:
     return 0 if report.ok else 2
 
 
-def _int_field(command: dict, key: str) -> int:
-    """An integer field of a JSONL command; anything else is a ValueError.
+def _serve_loop(ops: Dict[str, Callable[[dict], Any]]) -> None:
+    """Answer the JSONL commands on stdin, one reply line each, until
+    ``quit`` or end of input (the protocol is tabled in docs/SERVING.md).
 
-    ``json`` decodes ``1e400`` as a float infinity and ``1.5`` as a
-    float, which ``int()`` would overflow on or silently truncate.
+    ``ops`` maps an op to its handler, which returns the reply: a
+    payload dict, a :class:`~repro.serve.service.ServeResponse`, or a
+    :class:`~repro.serve.service.Ticket` of either.  An untagged command
+    is answered before the next line is read; a tagged ticket is
+    answered from the thread that resolves it.  Every reply echoes the
+    command's ``tag`` and goes through one locked writer.
     """
-    value = command[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key!r} must be an integer, got {value!r}")
-    return value
+    import json as _json
+    import threading
+
+    from repro.serve.service import AdmissionError, ServeResponse, Ticket
+
+    out = sys.stdout
+    out_lock = threading.Lock()
+
+    def reply(tag: Any, payload: Any) -> None:
+        if isinstance(payload, ServeResponse):
+            payload = dict(payload.to_dict(), ok=payload.ok, op="request")
+        if tag is not None:
+            payload = dict(payload, tag=tag)
+        line = _json.dumps(payload, sort_keys=True) + "\n"
+        with out_lock:
+            out.write(line)
+            out.flush()
+
+    for line in sys.stdin:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            command = _json.loads(line)
+            if not isinstance(command, dict):
+                raise ValueError("not a JSON object")
+        except (ValueError, RecursionError) as exc:
+            reply(None, {"ok": False, "error": f"bad command: {exc}"})
+            continue
+        tag, op = command.get("tag"), command.get("op")
+        if op == "quit":
+            reply(tag, {"ok": True, "op": "quit"})
+            break
+        handler = ops.get(op) if isinstance(op, str) else None
+        if handler is None:
+            reply(tag, {"ok": False, "error": f"unknown op {op!r}"})
+            continue
+        try:
+            result = handler(command)
+        except AdmissionError as exc:
+            result = exc.response()
+        except (KeyError, ValueError, TypeError, ClarifyError) as exc:
+            result = {"ok": False, "op": op, "error": str(exc)}
+        if not isinstance(result, Ticket):
+            reply(tag, result)
+        elif tag is None:
+            reply(None, result.wait())
+        else:
+            result.then(functools.partial(reply, tag))
 
 
 def _serve_router(args: argparse.Namespace) -> int:
-    """``clarify serve --shards N``: the thin router over shard processes.
+    """``clarify serve --shards N``: the same loop over the shard router
+    (:mod:`repro.serve.shard`), plus the chaos ops ``kill-shard`` (a
+    SIGKILL) and ``restart-shard`` (a respawn with ``--restore``)."""
+    from repro.serve.service import ServeRequest, command_field
+    from repro.serve.shard import ShardedCluster
 
-    Speaks the same JSONL protocol as a single-process serve loop, but
-    routes each command to its session's ring-assigned shard
-    (:mod:`repro.serve.shard`) and applies router-side admission
-    control.  Two extra operations drive chaos drills::
-
-        {"op": "kill-shard", "shard": 0}
-        {"op": "restart-shard", "shard": 0}
-
-    ``restart-shard`` respawns the shard with ``--restore``; the reply
-    carries how many sessions the shard rebuilt from its journals.
-    """
-    import json as _json
-
-    from repro.serve.service import AdmissionError
-    from repro.serve.shard import ClusterError, ShardedCluster
-
-    out = sys.stdout
+    for flag, value in (
+        ("--restore", args.restore or None),
+        ("--cache-dir", args.cache_dir),
+        ("--metrics-port", args.metrics_port),
+        ("--event-log", args.event_log),
+    ):
+        if value is not None:
+            print(
+                f"clarify serve: error: {flag} does not work with --shards",
+                file=sys.stderr,
+            )
+            return 2
     cluster = ShardedCluster(
         shards=args.shards,
-        workers_per_shard=args.shard_workers or args.workers,
+        workers_per_shard=args.workers,
         store_root=args.store_dir,
         high_water=args.high_water or 32,
         max_attempts=args.max_attempts,
         backend=args.backend,
-        deadline_s=args.deadline,
     )
 
-    def reply(tag: Optional[str] = None, **payload) -> None:
-        if tag is not None:
-            payload["tag"] = tag
-        out.write(_json.dumps(payload, sort_keys=True) + "\n")
-        out.flush()
+    def kill(command: dict) -> dict:
+        shard = command_field(command, "shard", int)
+        cluster.kill_shard(shard)
+        return {"ok": True, "op": "kill-shard", "shard": shard}
 
-    def relay(tag: Optional[str], payload: Optional[dict]) -> None:
-        """Forward a shard reply, swapping its tag for the client's."""
-        body = dict(payload or {"ok": False, "error": "no reply"})
-        # The shard's own wire tag must not leak (or collide with) the
-        # client's; strip it before the keyword expansion.
-        body.pop("tag", None)
-        reply(tag, **body)
+    def restart(command: dict) -> dict:
+        shard = command_field(command, "shard", int)
+        restored = cluster.restart_shard(shard)
+        return {"ok": True, "op": "restart-shard", "shard": shard, "restored": restored}
+
+    def stats(command: dict) -> dict:
+        return {
+            "ok": True,
+            "op": "stats",
+            "shards": cluster.stats(),
+            "rejected": cluster.rejected,
+            "kills": cluster.kills,
+            "restored": cluster.restored_sessions,
+            "store_root": cluster.store_root,
+        }
 
     print(
         f"router: {args.shards} shard(s) under {cluster.store_root}",
@@ -699,133 +767,51 @@ def _serve_router(args: argparse.Namespace) -> int:
     )
     sys.stderr.flush()
     with cluster:
-        for line in sys.stdin:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                command = _json.loads(line)
-                op = command["op"]
-            except (ValueError, KeyError, TypeError) as exc:
-                reply(None, ok=False, error=f"bad command: {exc}")
-                continue
-            tag = command.get("tag")
-            if op == "quit":
-                reply(tag, ok=True, op="quit")
-                break
-            try:
-                if op == "open":
-                    relay(
-                        tag,
-                        cluster.open(
-                            command["session"], command.get("config", "")
-                        ),
-                    )
-                elif op == "request":
-                    try:
-                        call = cluster.submit(
-                            command["session"],
-                            command["intent"],
-                            command["target"],
-                        )
-                    except AdmissionError as exc:
-                        reply(
-                            tag,
-                            ok=False,
-                            op="request",
-                            outcome="rejected",
-                            session=command["session"],
-                            retry_after_s=exc.retry_after_s,
-                            error=str(exc),
-                        )
-                        continue
-                    relay(tag, call.wait())
-                elif op == "close":
-                    relay(tag, cluster.close_session(command["session"]))
-                elif op == "stats":
-                    reply(
-                        tag,
-                        ok=True,
-                        op="stats",
-                        shards=cluster.stats(),
-                        rejected=cluster.rejected,
-                        kills=cluster.kills,
-                        restored=cluster.restored_sessions,
-                        store_root=cluster.store_root,
-                    )
-                elif op == "kill-shard":
-                    shard = _int_field(command, "shard")
-                    cluster.kill_shard(shard)
-                    reply(tag, ok=True, op="kill-shard", shard=shard)
-                elif op == "restart-shard":
-                    shard = _int_field(command, "shard")
-                    restored = cluster.restart_shard(shard)
-                    reply(
-                        tag,
-                        ok=True,
-                        op="restart-shard",
-                        shard=shard,
-                        restored=restored,
-                    )
-                else:
-                    reply(tag, ok=False, error=f"unknown op {op!r}")
-            except (KeyError, ValueError, TypeError, ClusterError) as exc:
-                reply(tag, ok=False, op=op, error=str(exc))
+        _serve_loop(
+            {
+                "open": lambda command: cluster.open(
+                    command_field(command, "session", str),
+                    command_field(command, "config", str, ""),
+                ),
+                "request": lambda command: cluster.submit(
+                    ServeRequest.from_command(command, args.deadline)
+                ),
+                "close": lambda command: cluster.close_session(
+                    command_field(command, "session", str)
+                ),
+                "stats": stats,
+                "kill-shard": kill,
+                "restart-shard": restart,
+            }
+        )
     return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """An in-process request/response loop over a session pool.
+    """Serve Clarify sessions over the JSONL stdin/stdout protocol that
+    docs/SERVING.md tables: the serving layer without a network, with
+    the admission control, deadlines and per-session FIFO that
+    ``clarify loadgen`` hammers.
 
-    Reads one JSON object per stdin line and answers each with one JSON
-    line on stdout.  Operations::
-
-        {"op": "open", "session": "s1", "config": "<IOS text>"}
-        {"op": "request", "session": "s1", "target": "ISP_OUT",
-         "intent": "...", "deadline_s": 5.0}
-        {"op": "close", "session": "s1"}
-        {"op": "stats"}
-        {"op": "quit"}
-
-    This is the serving layer without a network: the same admission
-    control, deadlines, and per-session FIFO that ``clarify loadgen``
-    hammers, driveable from a shell pipe or a test harness.
-
-    Commands may carry a ``tag``; the matching reply echoes it, and a
-    tagged ``request`` runs on a thread of its own and is answered
-    asynchronously (out of order), up to ``--workers`` cycles at once —
-    this is how the shard router keeps every shard busy.  An untagged
-    ``request`` runs on the loop's own thread before the next line is
-    read.  With ``--store-dir`` every session's journal
-    lives in a :class:`~repro.serve.store.DurableSessionStore`
-    (fsynced, crash-safe) and ``--restore`` rebuilds all previously
-    open sessions before serving; a re-sent ``request`` whose ``seq``
-    already resolved before the crash is answered from the journal
-    (marked ``"recovered": true``) instead of running twice.  With
-    ``--shards N`` this process becomes the shard *router* instead —
-    see ``_serve_router``.
-
-    With ``--metrics-port`` (or ``CLARIFY_METRICS_PORT``) a live
-    Prometheus ``/metrics`` + ``/healthz`` endpoint is served on
-    loopback and every request produces one wide event; ``--event-log``
-    (or ``CLARIFY_EVENT_LOG``) appends those events as JSONL for
-    ``clarify tail``.
+    ``--store-dir`` keeps every session's journal in a
+    :class:`~repro.serve.store.DurableSessionStore` and ``--restore``
+    rebuilds the open sessions from it; a re-sent ``seq`` that resolved
+    before a crash is answered from the journal.  ``--metrics-port``
+    (or ``CLARIFY_METRICS_PORT``) serves ``/metrics`` and ``/healthz``
+    on loopback, and ``--event-log`` (or ``CLARIFY_EVENT_LOG``) appends
+    one wide event per request.  With ``--shards N`` this process is
+    the shard router instead (``_serve_router``).
     """
-    import json as _json
-    import threading
-
     from repro import obs
     from repro.obs import telemetry as tele
     from repro.serve import ClarifyService, ServeRequest, SessionManager
     from repro.serve.loadgen import build_llm_stack
-    from repro.serve.service import AdmissionError, ServeResponse
+    from repro.serve.service import ServeResponse, command_field
     from repro.serve.store import DurableSessionStore
 
-    if args.shards and args.shards > 1:
+    if args.shards > 1:
         return _serve_router(args)
 
-    out = sys.stdout
-    out_lock = threading.Lock()
     metrics_port = args.metrics_port
     if metrics_port is None and os.environ.get("CLARIFY_METRICS_PORT"):
         metrics_port = int(os.environ["CLARIFY_METRICS_PORT"])
@@ -850,21 +836,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         sys.stderr.flush()
-
-    def reply(tag: Optional[str] = None, **payload) -> None:
-        if tag is not None:
-            payload["tag"] = tag
-        with out_lock:
-            out.write(_json.dumps(payload, sort_keys=True) + "\n")
-            out.flush()
-
-    def send_response(
-        tag: Optional[str], response: ServeResponse, recovered: bool = False
-    ) -> None:
-        payload = response.to_dict()
-        if recovered:
-            payload["recovered"] = True
-        reply(tag, ok=response.ok, op="request", **payload)
 
     recorder = None
     hub = None
@@ -898,130 +869,75 @@ def cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         high_water=64 if args.high_water is None else args.high_water,
     ) as service:
-        for line in sys.stdin:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                command = _json.loads(line)
-                op = command["op"]
-            except (ValueError, KeyError, TypeError) as exc:
-                reply(None, ok=False, error=f"bad command: {exc}")
-                continue
-            tag = command.get("tag")
-            if op == "quit":
-                reply(tag, ok=True, op="quit")
-                break
-            try:
-                if op == "open":
-                    existing = (
-                        manager.get(command["session"])
-                        if command.get("idempotent")
-                        else None
+
+        def open_session(command: dict) -> dict:
+            session = command_field(command, "session", str)
+            config = command_field(command, "config", str, "")
+            existing = manager.get(session) if command.get("idempotent") else None
+            # A router re-send after a restore finds the session live,
+            # rebuilt from its journal.
+            managed = existing or manager.open(session, config)
+            payload = {
+                "ok": True,
+                "op": "open",
+                "session": managed.session_id,
+                "config_sha256": managed.config_sha256(),
+            }
+            if existing is not None:
+                payload["recovered"] = True
+            return payload
+
+        def request(command: dict) -> Any:
+            request = ServeRequest.from_command(command, args.deadline)
+            handle = manager.get(request.session)
+            if request.seq is not None and handle is not None:
+                replayed = handle.replayed_response(request.seq)
+                if replayed is not None:
+                    # Resolved before the crash; answer from the journal
+                    # instead of running a second time.
+                    assert isinstance(replayed, ServeResponse)
+                    return dict(
+                        replayed.to_dict(),
+                        ok=replayed.ok,
+                        op="request",
+                        recovered=True,
                     )
-                    if existing is not None:
-                        # A router re-send after a restore: the session
-                        # is already live (rebuilt from its journal).
-                        reply(
-                            tag,
-                            ok=True,
-                            op="open",
-                            session=existing.session_id,
-                            config_sha256=existing.config_sha256(),
-                            recovered=True,
-                        )
-                        continue
-                    managed = manager.open(
-                        command["session"], command.get("config", "")
-                    )
-                    reply(
-                        tag,
-                        ok=True,
-                        op="open",
-                        session=managed.session_id,
-                        config_sha256=managed.config_sha256(),
-                    )
-                elif op == "request":
-                    if command.get("seq") is not None:
-                        seq = _int_field(command, "seq")
-                        handle = manager.get(command["session"])
-                        replayed = (
-                            handle.replayed_response(seq)
-                            if handle is not None
-                            else None
-                        )
-                        if replayed is not None:
-                            # Resolved before the crash; answer from the
-                            # journal instead of running a second time.
-                            assert isinstance(replayed, ServeResponse)
-                            send_response(tag, replayed, recovered=True)
-                            continue
-                    request = ServeRequest(
-                        session=command["session"],
-                        intent=command["intent"],
-                        target=command["target"],
-                        deadline_s=command.get("deadline_s", args.deadline),
-                        request_id=command.get("request_id"),
-                        trace_id=command.get("trace_id"),
-                    )
-                    if tag is None:
-                        send_response(None, service.call(request))
-                        continue
-                    # Tagged requests pipeline: submit now (admission and
-                    # the session's sequence number follow stdin order),
-                    # answer from the request's own thread once it
-                    # resolves, and keep reading stdin meanwhile.
-                    try:
-                        service.submit(
-                            request, on_done=functools.partial(send_response, tag)
-                        )
-                    except AdmissionError as exc:
-                        reply(
-                            tag,
-                            ok=False,
-                            op="request",
-                            outcome="rejected",
-                            session=request.session,
-                            retry_after_s=exc.retry_after_s,
-                            error=str(exc),
-                        )
-                elif op == "close":
-                    reply(
-                        tag,
-                        ok=manager.close(command["session"]),
-                        op="close",
-                        session=command["session"],
-                    )
-                elif op == "stats":
-                    stats_payload = dict(
-                        sessions=len(manager),
-                        depth=service.depth(),
-                        rejected=service.rejected,
-                        restored=len(restored_ids),
-                        backend=stack.backend,
-                        upstream_llm_calls=stack.upstream_calls,
-                        cache=(
-                            stack.cached.stats()
-                            if stack.cached is not None
-                            else None
-                        ),
-                    )
-                    if store is not None:
-                        stats_payload["store_dir"] = args.store_dir
-                    if telemetry_on:
-                        stats_payload["telemetry"] = {
-                            "metrics_port": (
-                                server.port if server is not None else None
-                            ),
-                            "event_log": event_log,
-                            "wide_events": hub.finished if hub else 0,
-                            "completed": manager.completed_counts(),
-                        }
-                    reply(tag, ok=True, op="stats", **stats_payload)
-                else:
-                    reply(tag, ok=False, error=f"unknown op {op!r}")
-            except (KeyError, ValueError, TypeError) as exc:
-                reply(tag, ok=False, op=op, error=str(exc))
+            if command.get("tag") is None:
+                return service.call(request)
+            # Admission and the session's sequence number follow stdin
+            # order; the request's own thread writes the reply.
+            return service.submit(request)
+
+        def close(command: dict) -> dict:
+            session = command_field(command, "session", str)
+            return {"ok": manager.close(session), "op": "close", "session": session}
+
+        def stats(command: dict) -> dict:
+            payload = {
+                "ok": True,
+                "op": "stats",
+                "sessions": len(manager),
+                "depth": service.depth(),
+                "rejected": service.rejected,
+                "restored": len(restored_ids),
+                "backend": stack.backend,
+                "upstream_llm_calls": stack.upstream_calls,
+                "cache": stack.cached.stats() if stack.cached else None,
+            }
+            if store is not None:
+                payload["store_dir"] = args.store_dir
+            if telemetry_on:
+                payload["telemetry"] = {
+                    "metrics_port": server.port if server is not None else None,
+                    "event_log": event_log,
+                    "wide_events": hub.finished if hub else 0,
+                    "completed": manager.completed_counts(),
+                }
+            return payload
+
+        _serve_loop(
+            {"open": open_session, "request": request, "close": close, "stats": stats}
+        )
     if store is None:
         manager.close_all()
     return 0
@@ -1270,13 +1186,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=4,
-        help="Clarify cycles run at once (default: %(default)s)",
+        help="Clarify cycles run at once, per shard with serve --shards "
+        "(default: %(default)s)",
     )
     serving.add_argument(
         "--deadline",
-        type=float,
+        type=_deadline,
         default=None,
-        help="per-request time budget in seconds (default: none)",
+        help="per-request time budget in seconds, a finite number above 0 "
+        "(default: none)",
     )
     serving.add_argument(
         "--max-attempts",
@@ -1589,15 +1507,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="run as a router over N shard serve processes placed by a "
         "consistent-hash ring (each shard gets its own store under "
-        "--store-dir); adds kill-shard/restart-shard chaos ops",
-    )
-    p_serve.add_argument(
-        "--shard-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="Clarify cycles each shard process runs at once "
-        "(default: --workers)",
+        "--store-dir and runs --workers cycles at once); adds "
+        "kill-shard/restart-shard chaos ops",
     )
     p_serve.set_defaults(func=cmd_serve)
 

@@ -11,8 +11,8 @@ This module compares the two:
 * **histogram counts** are likewise exact;
 * **timings** — the ``span.*`` histograms produced by a
   ``time_spans=True`` recorder — are noisy, so their mean and p95 are
-  *ratio*-bounded: only getting ``max_ratio`` times slower than the
-  baseline counts as a regression (getting faster never does).
+  *ratio*-bounded: only getting :data:`TIMING_MAX_RATIO` times slower
+  than the baseline counts as a regression (getting faster never does).
 
 The result is a :class:`RegressionReport` of :class:`DeltaRow` entries
 with text/JSON renderings; ``clarify bench-check`` exits nonzero when
@@ -40,19 +40,9 @@ class SnapshotError(ValueError):
     """A snapshot file is missing, unreadable, or malformed."""
 
 
-@dataclasses.dataclass(frozen=True)
-class Tolerances:
-    """How far the current snapshot's timings may drift from the baseline.
-
-    Counters always compare exactly.  ``timing_max_ratio`` bounds how
-    much slower a ``span.*`` histogram's mean/p95 may get before it
-    regresses.  ``timing_warn_only`` downgrades timing regressions to
-    warnings (for shared CI runners, where wall-clock noise swamps real
-    signal).
-    """
-
-    timing_max_ratio: float = 1.5
-    timing_warn_only: bool = False
+#: How much slower than the baseline a ``span.*`` histogram's mean or
+#: p95 may get before it regresses.  Counters always compare exactly.
+TIMING_MAX_RATIO = 1.5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,7 +65,8 @@ class RegressionReport:
     """Everything :func:`compare_snapshots` found."""
 
     rows: List[DeltaRow]
-    tolerances: Tolerances
+    #: Timing regressions were downgraded to warnings.
+    timing_warn_only: bool = False
 
     @property
     def regressions(self) -> List[DeltaRow]:
@@ -208,7 +199,7 @@ def _histogram_count(name: str, value: Dict[str, Any]) -> int:
 
 
 def _compare_histograms(
-    base: Dict[str, Any], cur: Dict[str, Any], tol: Tolerances
+    base: Dict[str, Any], cur: Dict[str, Any], timing_warn_only: bool
 ) -> List[DeltaRow]:
     rows: List[DeltaRow] = []
     for name in sorted(set(base) | set(cur)):
@@ -246,7 +237,7 @@ def _compare_histograms(
         c_count = _histogram_count(name, cur[name])
         if timing:
             rows.extend(
-                _compare_timing(name, base[name], cur[name], tol)
+                _compare_timing(name, base[name], cur[name], timing_warn_only)
             )
             continue
         if b_count == c_count:
@@ -268,12 +259,12 @@ def _compare_histograms(
 
 
 def _compare_timing(
-    name: str, base: Dict[str, Any], cur: Dict[str, Any], tol: Tolerances
+    name: str, base: Dict[str, Any], cur: Dict[str, Any], warn_only: bool
 ) -> List[DeltaRow]:
     rows: List[DeltaRow] = []
     b_stats = _timing_stats(name, base)
     c_stats = _timing_stats(name, cur)
-    bad_status = STATUS_WARNING if tol.timing_warn_only else STATUS_REGRESSION
+    bad_status = STATUS_WARNING if warn_only else STATUS_REGRESSION
     for stat in ("mean", "p95"):
         b, c = b_stats[stat], c_stats[stat]
         row_name = f"{name}.{stat}"
@@ -294,7 +285,7 @@ def _compare_timing(
             rows.append(DeltaRow(row_name, "timing", STATUS_OK, b, c))
             continue
         ratio = c / b
-        if ratio <= tol.timing_max_ratio:
+        if ratio <= TIMING_MAX_RATIO:
             rows.append(DeltaRow(row_name, "timing", STATUS_OK, b, c))
         else:
             rows.append(
@@ -305,7 +296,7 @@ def _compare_timing(
                     b,
                     c,
                     f"{ratio:.2f}x slower than baseline "
-                    f"(bound {tol.timing_max_ratio:g}x)",
+                    f"(bound {TIMING_MAX_RATIO:g}x)",
                 )
             )
     return rows
@@ -314,9 +305,12 @@ def _compare_timing(
 def compare_snapshots(
     baseline: Dict[str, Any],
     current: Dict[str, Any],
-    tolerances: Optional[Tolerances] = None,
+    timing_warn_only: bool = False,
 ) -> RegressionReport:
-    """Diff two metric snapshots under the given tolerances.
+    """Diff two metric snapshots.
+
+    ``timing_warn_only`` downgrades timing regressions to warnings (for
+    shared CI runners, where wall-clock noise swamps real signal).
 
     Raises :class:`SnapshotError` when the two snapshots were written
     under different schema versions (see :func:`check_schema_match`) or
@@ -324,16 +318,17 @@ def compare_snapshots(
     not regressions, and must not be reported as tolerance rows.
     """
     check_schema_match(baseline, current)
-    tol = tolerances if tolerances is not None else Tolerances()
     rows = _compare_counters(
         baseline.get("counters", {}), current.get("counters", {})
     )
     rows.extend(
         _compare_histograms(
-            baseline.get("histograms", {}), current.get("histograms", {}), tol
+            baseline.get("histograms", {}),
+            current.get("histograms", {}),
+            timing_warn_only,
         )
     )
-    return RegressionReport(rows=rows, tolerances=tol)
+    return RegressionReport(rows=rows, timing_warn_only=timing_warn_only)
 
 
 # ------------------------------------------------------------- rendering
@@ -380,7 +375,10 @@ def render_json(report: RegressionReport) -> str:
     return json.dumps(
         {
             "ok": report.ok,
-            "tolerances": dataclasses.asdict(report.tolerances),
+            "tolerances": {
+                "timing_max_ratio": TIMING_MAX_RATIO,
+                "timing_warn_only": report.timing_warn_only,
+            },
             "regressions": len(report.regressions),
             "warnings": len(report.warnings),
             "rows": [row.to_dict() for row in report.rows],
@@ -394,8 +392,8 @@ __all__ = [
     "DeltaRow",
     "RegressionReport",
     "SnapshotError",
+    "TIMING_MAX_RATIO",
     "TIMING_PREFIX",
-    "Tolerances",
     "check_schema_match",
     "compare_snapshots",
     "load_snapshot",

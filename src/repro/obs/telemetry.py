@@ -112,20 +112,26 @@ def current_trace() -> Optional[TraceContext]:
 
 
 def mint_trace(
-    session_id: str = "", request_id: Optional[str] = None
+    session_id: str = "",
+    request_id: Optional[str] = None,
+    trace_id: Optional[str] = None,
 ) -> TraceContext:
-    """A fresh trace; ``request_id`` defaults to ``req-`` and the first
-    12 hex digits of the new trace id.
+    """A request's trace: given ids are adopted (one that is not a
+    string is a ``TypeError``) and missing ones minted; a minted
+    ``request_id`` is ``req-`` and 12 hex digits of a fresh trace id.
 
     The 128 bits come from :mod:`random`, which reseeds itself in a
     forked child, and not from ``os.urandom``: that syscall releases the
     interpreter lock, and an admitting thread could then wait a whole
     switch interval to get it back.
     """
-    trace_id = f"{random.getrandbits(128):032x}"
+    for given in (request_id, trace_id):
+        if given is not None and not isinstance(given, str):
+            raise TypeError(f"a trace id must be a string, got {given!r}")
+    minted = f"{random.getrandbits(128):032x}"
     return TraceContext(
-        trace_id=trace_id,
-        request_id=request_id if request_id else f"req-{trace_id[:12]}",
+        trace_id=minted if trace_id is None else trace_id,
+        request_id=request_id if request_id else f"req-{minted[:12]}",
         session_id=session_id,
     )
 

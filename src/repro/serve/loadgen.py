@@ -35,7 +35,7 @@ import random
 import tempfile
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro import obs
 from repro.core.disambiguator import DisambiguationMode
@@ -171,6 +171,37 @@ def generate_workload(
             )
         )
     return specs
+
+
+_T = TypeVar("_T")
+
+
+def submit_round(
+    submit: Callable[[ServeRequest], Ticket[_T]],
+    workload: Sequence[SessionSpec],
+    round_idx: int,
+    tickets: List[Ticket[_T]],
+    deadline_s: Optional[float] = None,
+) -> int:
+    """Submit every session's ``round_idx``-th intent, in workload order.
+
+    A rejected submission is retried after its advertised
+    ``retry_after_s`` (at most 50 ms) until admitted, so backpressure
+    shapes *when* work runs, never *whether*.  Each ticket is appended
+    to ``tickets``; returns how many submissions were rejected.
+    """
+    rejected = 0
+    for spec in workload:
+        intent = spec.intents[round_idx]
+        request = ServeRequest(spec.session_id, intent, spec.target, deadline_s)
+        while True:
+            try:
+                tickets.append(submit(request))
+                break
+            except AdmissionError as exc:
+                rejected += 1
+                time.sleep(min(exc.retry_after_s, 0.05))
+    return rejected
 
 
 class _CountingClient:
@@ -366,10 +397,8 @@ def run_loadgen(
 ) -> LoadgenReport:
     """Run one seeded campaign and aggregate the results.
 
-    Admission rejections are retried (after the advertised
-    ``retry_after_s``) until accepted, so backpressure shapes *when*
-    work runs, never *whether* it runs — a prerequisite for the
-    serial-vs-pooled identity check.
+    Rejected submissions are retried (:func:`submit_round`), which the
+    serial-vs-pooled identity check needs.
 
     ``backend`` is a :func:`repro.llm.router.build_backend` spec and
     ``cache_dir`` enables the durable response cache (see
@@ -433,20 +462,9 @@ def run_loadgen(
                 # overlap across many sessions (and dedup sees
                 # simultaneous twins).
                 for round_idx in range(requests_per_session):
-                    for spec in workload:
-                        request = ServeRequest(
-                            session=spec.session_id,
-                            intent=spec.intents[round_idx],
-                            target=spec.target,
-                            deadline_s=deadline_s,
-                        )
-                        while True:
-                            try:
-                                tickets.append(service.submit(request))
-                                break
-                            except AdmissionError as exc:
-                                rejected_submissions += 1
-                                time.sleep(min(exc.retry_after_s, 0.05))
+                    rejected_submissions += submit_round(
+                        service.submit, workload, round_idx, tickets, deadline_s
+                    )
                 responses: List[Optional[ServeResponse]] = [
                     t.wait(WAIT_TIMEOUT_S) for t in tickets
                 ]
@@ -818,4 +836,5 @@ __all__ = [
     "generate_workload",
     "run_checks",
     "run_loadgen",
+    "submit_round",
 ]

@@ -31,9 +31,10 @@ for that request.  ``workers`` is how many cycles may run at once.
 from __future__ import annotations
 
 import dataclasses
+import math
 import threading
 import time
-from typing import Any, Callable, Dict, Generic, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, Generic, List, Optional, Tuple, TypeVar, cast
 
 from repro import obs
 from repro.core.budget import TimeBudget
@@ -60,7 +61,9 @@ _EWMA_SEED_S = 0.02
 class AdmissionError(ClarifyError):
     """The backlog is at its high-water mark; retry after a backoff."""
 
-    def __init__(self, depth: int, high_water: int, retry_after_s: float) -> None:
+    def __init__(
+        self, depth: int, high_water: int, retry_after_s: float, trace: TraceContext
+    ) -> None:
         super().__init__(
             f"backlog at {depth}/{high_water}; retry after {retry_after_s:.3f}s"
         )
@@ -69,7 +72,56 @@ class AdmissionError(ClarifyError):
         self.retry_after_s = retry_after_s
         #: The trace minted for the rejected request, so callers can still
         #: correlate the rejection with its wide event.
-        self.trace: Optional[TraceContext] = None
+        self.trace = trace
+
+    def response(self) -> "ServeResponse":
+        """The ``rejected`` response that answers the refused request."""
+        return ServeResponse(
+            session=self.trace.session_id,
+            seq=-1,
+            outcome="rejected",
+            detail=str(self),
+            retry_after_s=self.retry_after_s,
+            request_id=self.trace.request_id,
+            trace_id=self.trace.trace_id,
+        )
+
+
+_REQUIRED: Any = object()
+
+
+def command_field(
+    command: Dict[str, Any], key: str, kind: type, default: Any = _REQUIRED
+) -> Any:
+    """Field ``key`` of a JSONL command, which must be a ``kind``.
+
+    A missing or null field takes ``default``; with none, a missing one
+    is a ``KeyError``.  Any other value is a ``ValueError``: a bool is
+    no integer, and nor is a float (``json`` reads ``1e400`` as inf).
+    """
+    value = command.get(key)
+    if value is None and default is not _REQUIRED:
+        return default
+    if key not in command:
+        raise KeyError(key)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = {str: "a string", int: "an integer"}[kind]
+        raise ValueError(f"{key!r} must be {what}, got {value!r}")
+    return value
+
+
+def deadline_seconds(value: Any) -> float:
+    """``value`` as a request's time budget: finite seconds above 0 that
+    are not a bool, else a ``ValueError``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not 0 < value < math.inf
+    ):
+        raise ValueError(
+            f"'deadline_s' must be a finite number above 0, got {value!r}"
+        )
+    return float(value)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,6 +139,36 @@ class ServeRequest:
     #: router passes its trace across the process hop so a request's
     #: journal events and wide events correlate end to end.
     trace_id: Optional[str] = None
+    #: The shard router's per-session sequence number: a serve loop
+    #: answers one that resolved before a crash from the journal.  The
+    #: service numbers requests itself.
+    seq: Optional[int] = None
+
+    @classmethod
+    def from_command(
+        cls, command: Dict[str, Any], default_deadline: Optional[float] = None
+    ) -> "ServeRequest":
+        """The request a JSONL ``request`` command describes: the one
+        typed parse of the protocol table in ``docs/SERVING.md``.  A
+        missing field raises ``KeyError`` and a mistyped one
+        ``ValueError``, so a malformed command never reaches a service.
+        """
+        deadline = command.get("deadline_s", default_deadline)
+        return cls(
+            session=command_field(command, "session", str),
+            intent=command_field(command, "intent", str),
+            target=command_field(command, "target", str),
+            deadline_s=None if deadline is None else deadline_seconds(deadline),
+            request_id=command_field(command, "request_id", str, None),
+            trace_id=command_field(command, "trace_id", str, None),
+            seq=command_field(command, "seq", int, None),
+        )
+
+    def to_command(self) -> Dict[str, Any]:
+        """The JSONL ``request`` command :meth:`from_command` reads back."""
+        command = dataclasses.asdict(self)
+        command["op"] = "request"
+        return command
 
 
 @dataclasses.dataclass(frozen=True)
@@ -176,11 +258,26 @@ class Ticket(Generic[T]):
 
     def __init__(self) -> None:
         self._done = threading.Event()
+        self._lock = threading.Lock()
         self._result: Optional[T] = None
+        self._callbacks: List[Callable[[T], None]] = []
 
     def resolve(self, result: T) -> None:
-        self._result = result
-        self._done.set()
+        with self._lock:
+            self._result = result
+            self._done.set()
+            callbacks, self._callbacks = self._callbacks, []
+        for callback in callbacks:
+            callback(result)
+
+    def then(self, callback: Callable[[T], None]) -> None:
+        """Call ``callback(result)`` on the thread that resolves the
+        ticket, or at once on this one if it has already resolved."""
+        with self._lock:
+            if not self._done.is_set():
+                self._callbacks.append(callback)
+                return
+        callback(cast(T, self._result))
 
     def wait(self, timeout: Optional[float] = None) -> Optional[T]:
         """Block until resolution (or ``timeout``); None on timeout."""
@@ -274,25 +371,32 @@ class ClarifyService:
     def _admit(self, request: ServeRequest) -> _WorkItem:
         """Admit one request, or raise :class:`AdmissionError`.
 
-        Every request — admitted or rejected — gets a fresh
+        Every request — admitted or rejected — gets a
         :class:`TraceContext`; a rejection still lands in the latency
         histograms (tagged ``rejected``) and the wide-event log, so
         loadgen quantiles are not survivorship-biased toward requests
         that made it past admission.  An admitted request is stamped
         with its session's next sequence number.
 
-        Raises ``KeyError`` for an unknown session and ``RuntimeError``
-        when the service is not running.
+        Everything that can raise runs before the request takes a slot
+        or a sequence number, so a refused request holds neither: a
+        ``TypeError`` for a trace id that is not a string, a
+        ``KeyError`` for an unknown session, a ``ValueError`` for a
+        ``deadline_s`` that is not above 0, and a ``RuntimeError`` when
+        the service is not running.
         """
         started = time.perf_counter()
         trace = telemetry.mint_trace(
-            session_id=request.session, request_id=request.request_id
+            request.session, request.request_id, request.trace_id
         )
-        if request.trace_id is not None:
-            trace = dataclasses.replace(trace, trace_id=request.trace_id)
         handle = self.manager.get(request.session)
         if handle is None:
             raise KeyError(f"unknown session {request.session!r}")
+        budget = (
+            TimeBudget(request.deadline_s)
+            if request.deadline_s is not None
+            else None
+        )
         rejection: Optional[AdmissionError] = None
         with self._lock:
             if not self._running:
@@ -303,11 +407,11 @@ class ClarifyService:
                     self._pending,
                     self.high_water,
                     self._retry_after(self._pending),
+                    trace,
                 )
             else:
                 self._pending += 1
         if rejection is not None:
-            rejection.trace = trace
             elapsed = time.perf_counter() - started
             with obs.scope(trace=trace):
                 telemetry.begin_request(trace, seq=-1)
@@ -325,11 +429,6 @@ class ClarifyService:
                     retry_after_s=rejection.retry_after_s,
                 )
             raise rejection
-        budget = (
-            TimeBudget(request.deadline_s)
-            if request.deadline_s is not None
-            else None
-        )
         with handle.cond:
             seq = handle.submitted_seq
             handle.submitted_seq += 1
@@ -345,27 +444,19 @@ class ClarifyService:
             trace=trace,
         )
 
-    def submit(
-        self,
-        request: ServeRequest,
-        on_done: Optional[Callable[[ServeResponse], None]] = None,
-    ) -> Ticket[ServeResponse]:
+    def submit(self, request: ServeRequest) -> Ticket[ServeResponse]:
         """Admit one request and run it on a thread started for it.
 
-        Returns at once; the ticket resolves to the response, and then
-        ``on_done`` (if given) is called with it on the same thread,
-        which :meth:`stop` waits for.  Raises :class:`AdmissionError` at
-        the high-water mark, ``KeyError`` for an unknown session and
-        ``RuntimeError`` when the service is not running.
+        Returns at once.  The ticket resolves to the response on that
+        thread, which :meth:`stop` waits for, so a :meth:`Ticket.then`
+        callback runs there too.  Raises :class:`AdmissionError` at the
+        high-water mark, and what :meth:`_admit` raises otherwise.
         """
         item = self._admit(request)
         ticket: Ticket[ServeResponse] = Ticket()
 
         def run() -> None:
-            response = self._execute(item)
-            ticket.resolve(response)
-            if on_done is not None:
-                on_done(response)
+            ticket.resolve(self._execute(item))
 
         thread = threading.Thread(
             target=run,
@@ -384,15 +475,7 @@ class ClarifyService:
         try:
             item = self._admit(request)
         except AdmissionError as exc:
-            return ServeResponse(
-                session=request.session,
-                seq=-1,
-                outcome="rejected",
-                detail=str(exc),
-                retry_after_s=exc.retry_after_s,
-                request_id=exc.trace.request_id if exc.trace else "",
-                trace_id=exc.trace.trace_id if exc.trace else "",
-            )
+            return exc.response()
         return self._execute(item)
 
     # ------------------------------------------------------------ execution
@@ -533,4 +616,6 @@ __all__ = [
     "ServeRequest",
     "ServeResponse",
     "Ticket",
+    "command_field",
+    "deadline_seconds",
 ]

@@ -18,8 +18,8 @@ serving semantic:
   directory, so a ``SIGKILL`` loses nothing that reached a journal.
 * :class:`ShardedCluster` — the thin router: routes ``open`` /
   ``request`` / ``close`` by ring position, stamps every request with a
-  router-assigned per-session sequence number and a minted trace id
-  (both cross the process hop), and applies **router-side admission
+  router-assigned per-session sequence number and its trace ids (both
+  cross the process hop), and applies **router-side admission
   control**: a per-shard high-water mark with an EWMA retry-after,
   mirroring :class:`~repro.serve.service.ClarifyService`'s
   single-process policy one level up.
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -59,8 +60,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.errors import ClarifyError
 from repro.obs import telemetry
-from repro.serve.loadgen import WAIT_TIMEOUT_S, _fingerprint, generate_workload
-from repro.serve.service import AdmissionError, ServeResponse, Ticket
+from repro.serve.loadgen import (
+    WAIT_TIMEOUT_S,
+    _fingerprint,
+    generate_workload,
+    submit_round,
+)
+from repro.serve.service import AdmissionError, ServeRequest, ServeResponse, Ticket
 
 #: Seed for the router's service-time EWMA before any reply has landed.
 _EWMA_SEED_S = 0.02
@@ -143,7 +149,6 @@ class ShardProcess:
         self.max_attempts = max_attempts
         self.backend = backend
         self.restarts = 0
-        self.on_reply: Optional[Any] = None
         self._proc: Optional["subprocess.Popen[str]"] = None
         self._reader: Optional[threading.Thread] = None
         self._write_lock = threading.Lock()
@@ -255,7 +260,8 @@ class ShardProcess:
     # ------------------------------------------------------------- the pipe
 
     def send(self, command: Dict[str, Any]) -> Ticket[Dict[str, Any]]:
-        """Write a tagged command; its reply resolves the returned ticket."""
+        """Write a tagged command; its reply resolves the returned ticket.
+        A command the pipe refuses is not kept for :meth:`restart`."""
         with self._pending_lock:
             self._tags += 1
             tag = f"s{self.index}-{self._tags}"
@@ -263,12 +269,13 @@ class ShardProcess:
             tagged["tag"] = tag
             ticket: Ticket[Dict[str, Any]] = Ticket()
             self._pending[tag] = (tagged, ticket)
-        self._write(tagged)
+        try:
+            self._write(tagged)
+        except ClusterError:
+            with self._pending_lock:
+                self._pending.pop(tag, None)
+            raise
         return ticket
-
-    def pending_count(self) -> int:
-        with self._pending_lock:
-            return len(self._pending)
 
     def _write(self, command: Dict[str, Any]) -> None:
         with self._write_lock:
@@ -294,17 +301,14 @@ class ShardProcess:
                 continue  # a torn line from a kill mid-write
             if not isinstance(payload, dict):
                 continue
-            tag = payload.get("tag")
+            # The wire tag is this pipe's own; it never leaves it.
+            tag = payload.pop("tag", None)
             if tag is None:
                 continue
             with self._pending_lock:
                 entry = self._pending.pop(tag, None)
-            if entry is None:
-                continue
-            hook = self.on_reply
-            if hook is not None:
-                hook(self.index, payload)
-            entry[1].resolve(payload)
+            if entry is not None:
+                entry[1].resolve(payload)
 
 
 class ShardedCluster:
@@ -326,7 +330,6 @@ class ShardedCluster:
         high_water: int = 32,
         max_attempts: int = 3,
         backend: str = "simulated",
-        deadline_s: Optional[float] = None,
     ) -> None:
         if high_water < 1:
             raise ValueError("high_water must be at least 1")
@@ -335,7 +338,6 @@ class ShardedCluster:
             prefix="clarify-shards-"
         )
         self.high_water = high_water
-        self.deadline_s = deadline_s
         self.procs = [
             ShardProcess(
                 index,
@@ -347,8 +349,6 @@ class ShardedCluster:
             )
             for index in range(shards)
         ]
-        for proc in self.procs:
-            proc.on_reply = self._reply_hook
         self._lock = threading.Lock()
         self._inflight = [0] * shards
         self._ewma_service_s = _EWMA_SEED_S
@@ -421,52 +421,49 @@ class ShardedCluster:
         workers = sum(proc.workers for proc in self.procs)
         return max(0.001, depth * self._ewma_service_s / max(1, workers))
 
-    def submit(
-        self, session_id: str, intent: str, target: str
-    ) -> Ticket[Dict[str, Any]]:
+    def submit(self, request: ServeRequest) -> Ticket[Dict[str, Any]]:
         """Route one request, or raise :class:`AdmissionError`.
 
-        The router stamps the request with (a) the session's next
-        sequence number, which the shard uses for idempotent replay
-        after a restart, and (b) a minted trace id that crosses the
-        process hop into the shard's journal and wide events.
+        The request goes with its ``deadline_s``, the session's next
+        sequence number (the shard's key for idempotent replay after a
+        restart), and trace ids adopted or minted by
+        :func:`~repro.obs.telemetry.mint_trace`, as in-process.
         """
+        trace = telemetry.mint_trace(
+            request.session, request.request_id, request.trace_id
+        )
         with self._lock:
-            shard = self._session_shard.get(session_id)
+            shard = self._session_shard.get(request.session)
             if shard is None:
-                raise KeyError(f"unknown session {session_id!r}")
+                raise KeyError(f"unknown session {request.session!r}")
             if self._inflight[shard] >= self.high_water:
                 self.rejected += 1
                 raise AdmissionError(
                     self._inflight[shard],
                     self.high_water,
                     self._retry_after(sum(self._inflight)),
+                    trace,
                 )
             self._inflight[shard] += 1
-            seq = self._session_seq[session_id]
-            self._session_seq[session_id] = seq + 1
-        trace = telemetry.mint_trace(session_id=session_id)
+            seq = self._session_seq[request.session]
+            self._session_seq[request.session] = seq + 1
+        stamped = dataclasses.replace(
+            request, seq=seq, request_id=trace.request_id, trace_id=trace.trace_id
+        )
         try:
-            return self.procs[shard].send(
-                {
-                    "op": "request",
-                    "session": session_id,
-                    "intent": intent,
-                    "target": target,
-                    "deadline_s": self.deadline_s,
-                    "seq": seq,
-                    "request_id": trace.request_id,
-                    "trace_id": trace.trace_id,
-                }
-            )
+            ticket = self.procs[shard].send(stamped.to_command())
         except ClusterError:
             with self._lock:
                 self._inflight[shard] -= 1
+                # Nothing reached the shard: the next request takes this seq.
+                if self._session_seq.get(request.session) == seq + 1:
+                    self._session_seq[request.session] = seq
             raise
+        ticket.then(functools.partial(self._settle, shard))
+        return ticket
 
-    def _reply_hook(self, shard: int, payload: Dict[str, Any]) -> None:
-        if payload.get("op") != "request":
-            return
+    def _settle(self, shard: int, payload: Dict[str, Any]) -> None:
+        """Free a request's slot once its reply lands."""
         latency = float(payload.get("latency_s", 0.0) or 0.0)
         with self._lock:
             self._inflight[shard] -= 1
@@ -559,9 +556,8 @@ def run_sharded_loadgen(
 
     The workload is the exact one :func:`~repro.serve.loadgen.run_loadgen`
     drives in-process (same ``(sessions, rps, seed)`` pure function), so
-    the resulting fingerprint is directly comparable.  Admission
-    rejections are retried after the advertised backoff, shaping *when*
-    work runs but never *whether*.
+    the resulting fingerprint is directly comparable, and rejected
+    submissions are retried the same way (:func:`submit_round`).
 
     With ``kill_and_restart`` the chaos choreography is: submit every
     round but the last, SIGKILL the shard owning the first session once
@@ -589,31 +585,13 @@ def run_sharded_loadgen(
     with cluster:
         for spec in workload:
             cluster.open(spec.session_id, spec.config_text)
-
-        def submit_round(round_idx: int) -> None:
-            nonlocal rejected
-            for spec in workload:
-                while True:
-                    try:
-                        pendings.append(
-                            cluster.submit(
-                                spec.session_id,
-                                spec.intents[round_idx],
-                                spec.target,
-                            )
-                        )
-                        break
-                    except AdmissionError as exc:
-                        rejected += 1
-                        time.sleep(min(exc.retry_after_s, 0.05))
-
         chaos_rounds = (
             max(1, requests_per_session - 1)
             if kill_and_restart
             else requests_per_session
         )
         for round_idx in range(chaos_rounds):
-            submit_round(round_idx)
+            rejected += submit_round(cluster.submit, workload, round_idx, pendings)
         if kill_and_restart:
             target_shard = cluster.shard_of(workload[0].session_id)
             half = len(pendings) // 2
@@ -626,7 +604,7 @@ def run_sharded_loadgen(
             cluster.kill_shard(target_shard)
             cluster.restart_shard(target_shard)
             for round_idx in range(chaos_rounds, requests_per_session):
-                submit_round(round_idx)
+                rejected += submit_round(cluster.submit, workload, round_idx, pendings)
         payloads = [p.wait(WAIT_TIMEOUT_S) for p in pendings]
     wall = time.perf_counter() - t_start
 

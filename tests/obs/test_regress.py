@@ -99,8 +99,7 @@ class TestHistograms:
         slow = make_snapshot(
             histograms={"span.clarify.request": timing_hist([1.0])}
         )
-        tol = regress.Tolerances(timing_warn_only=True)
-        report = regress.compare_snapshots(base, slow, tol)
+        report = regress.compare_snapshots(base, slow, timing_warn_only=True)
         assert report.ok
         assert report.warnings
 
@@ -162,6 +161,10 @@ class TestLoadingAndRendering:
         assert data["ok"] is False
         assert data["regressions"] == 1
         assert data["rows"][0]["name"] == "llm.calls"
+        assert data["tolerances"] == {
+            "timing_max_ratio": 1.5,
+            "timing_warn_only": False,
+        }
 
 
 class TestEdgeCases:

@@ -8,11 +8,13 @@ import pytest
 
 from repro.llm.client import LLMClient
 from repro.llm.simulated import SimulatedLLM
+from repro.obs import telemetry as tele
 from repro.serve import (
     AdmissionError,
     ClarifyService,
     ServeRequest,
     SessionManager,
+    Ticket,
 )
 
 INTENT = (
@@ -180,6 +182,97 @@ class TestAdmissionControl:
         # Three stanzas landed; the store saw them in submission order.
         rm = manager.get("s0").session.store.route_map("OUT")
         assert len(rm.stanzas) == 3
+
+
+class TestRefusedRequestsHoldNothing:
+    """A request ``_admit`` refuses takes no slot and no sequence number."""
+
+    @staticmethod
+    def _stop_within(service, seconds=30.0):
+        stopper = threading.Thread(target=service.stop, daemon=True)
+        stopper.start()
+        stopper.join(seconds)
+        assert not stopper.is_alive(), "stop() never returned"
+
+    def test_bad_deadlines_take_no_slot(self):
+        manager = SessionManager()
+        manager.open("s0")
+        service = ClarifyService(manager, workers=1, high_water=2).start()
+        for deadline in (0, -1):
+            with pytest.raises(ValueError):
+                service.submit(
+                    ServeRequest("s0", INTENT, "OUT", deadline_s=deadline)
+                )
+        assert service.depth() == 0
+        response = service.submit(ServeRequest("s0", INTENT, "OUT")).wait(60)
+        assert response is not None
+        assert (response.seq, response.outcome) == (0, "applied")
+        self._stop_within(service)
+
+    def test_a_bad_trace_id_takes_no_slot_and_no_seq(self):
+        # The hub keys on the trace id.  A request refused for its id
+        # must hold no seq, or the session's next request would wait
+        # forever for its turn.
+        manager = SessionManager()
+        manager.open("s0")
+        hub = tele.install_hub(tele.TelemetryHub())
+        try:
+            service = ClarifyService(manager, workers=1, high_water=2).start()
+            with pytest.raises(TypeError):
+                service.submit(ServeRequest("s0", INTENT, "OUT", trace_id=[1]))
+            assert service.depth() == 0
+            response = service.submit(ServeRequest("s0", INTENT, "OUT")).wait(60)
+            assert response is not None
+            assert (response.seq, response.outcome) == (0, "applied")
+            self._stop_within(service)
+        finally:
+            tele.uninstall_hub()
+            hub.close()
+
+
+class TestTicket:
+    def test_then_runs_on_the_resolving_thread(self):
+        ticket = Ticket()
+        seen = []
+        ticket.then(lambda result: seen.append((result, threading.current_thread())))
+        resolver = threading.Thread(target=ticket.resolve, args=("r",))
+        resolver.start()
+        resolver.join(10)
+        assert seen == [("r", resolver)]
+
+    def test_then_after_resolution_runs_at_once(self):
+        ticket = Ticket()
+        ticket.resolve("r")
+        seen = []
+        ticket.then(lambda result: seen.append((result, threading.current_thread())))
+        assert seen == [("r", threading.current_thread())]
+
+    def test_then_racing_resolve_runs_each_callback_once(self):
+        # A callback added while another thread resolves must run exactly
+        # once: neither lost between the two, nor run by both.
+        tickets = [Ticket() for _ in range(2000)]
+        calls = [0] * len(tickets)
+
+        def count(index):
+            def callback(result):
+                calls[index] += 1
+
+            return callback
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            resolver = threading.Thread(
+                target=lambda: [t.resolve(None) for t in tickets]
+            )
+            resolver.start()
+            for index, ticket in enumerate(tickets):
+                ticket.then(count(index))
+            resolver.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not resolver.is_alive()
+        assert calls == [1] * len(tickets)
 
 
 class TestExecution:

@@ -11,8 +11,9 @@ import warnings
 import pytest
 
 from repro.serve.loadgen import generate_workload, run_checks, run_loadgen
-from repro.serve.service import ServeResponse
+from repro.serve.service import ServeRequest, ServeResponse
 from repro.serve.shard import (
+    ClusterError,
     HashRing,
     ShardedCluster,
     ShardProcess,
@@ -123,7 +124,7 @@ class TestCrashRecoveryProtocol:
                 cluster.open(spec.session_id, spec.config_text)
             for spec in workload:
                 calls[spec.session_id] = cluster.submit(
-                    spec.session_id, spec.intents[0], spec.target
+                    ServeRequest(spec.session_id, spec.intents[0], spec.target)
                 )
             originals = {
                 sid: call.wait(60.0) for sid, call in calls.items()
@@ -139,14 +140,12 @@ class TestCrashRecoveryProtocol:
             # Re-send an already-resolved seq directly: the shard must
             # answer from its journal, not run the cycle again.
             resent = cluster.procs[shard].send(
-                {
-                    "op": "request",
-                    "session": victim_sid,
-                    "intent": workload[0].intents[0],
-                    "target": workload[0].target,
-                    "deadline_s": None,
-                    "seq": 0,
-                }
+                ServeRequest(
+                    victim_sid,
+                    workload[0].intents[0],
+                    workload[0].target,
+                    seq=0,
+                ).to_command()
             ).wait(60.0)
             assert resent is not None
             assert resent.get("recovered") is True
@@ -154,6 +153,27 @@ class TestCrashRecoveryProtocol:
                 ServeResponse.from_dict(resent).outcome_key()
                 == ServeResponse.from_dict(originals[victim_sid]).outcome_key()
             )
+
+    def test_a_request_refused_by_a_dead_shard_is_never_applied(self, tmp_path):
+        spec = generate_workload(1, 2, 2025)[0]
+        cluster = ShardedCluster(
+            shards=1, workers_per_shard=1, store_root=str(tmp_path / "cluster")
+        )
+        with cluster:
+            cluster.open(spec.session_id, spec.config_text)
+            cluster.kill_shard(0)
+            with pytest.raises(ClusterError):
+                cluster.submit(
+                    ServeRequest(spec.session_id, spec.intents[0], spec.target)
+                )
+            cluster.restart_shard(0)
+            reply = cluster.submit(
+                ServeRequest(spec.session_id, spec.intents[1], spec.target)
+            ).wait(60.0)
+        # The refused request was neither re-sent at the restart nor
+        # left a gap in the router's sequence numbers.
+        assert reply is not None
+        assert reply["seq"] == 0, reply
 
     def test_idempotent_open_after_restore(self, tmp_path):
         workload = generate_workload(2, 1, 2025)

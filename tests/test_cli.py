@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.cli import StdioOracle, main
+import repro
+from repro.cli import StdioOracle, build_parser, main
 from repro.core.errors import ClarifyError
 
 ISP_OUT = """
@@ -18,6 +22,8 @@ route-map ISP_OUT deny 20
 route-map ISP_OUT permit 30
  match local-preference 300
 """
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 PAPER_INTENT = (
     "Write a route-map stanza that permits routes containing the prefix "
@@ -209,6 +215,61 @@ class TestAnswers:
             main([*argv, "--answers", answers])
         assert exc.value.code == 2
         assert "expected comma-separated 1s and 2s" in capsys.readouterr().err
+
+
+class TestDeadline:
+    """``--deadline`` takes a finite number of seconds above 0."""
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["serve", "loadgen"])
+    def test_bad_deadline_is_a_usage_error(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--deadline", value])
+        assert exc.value.code == 2
+        assert "finite number of seconds above 0" in capsys.readouterr().err
+
+    def test_loadgen_deadline_zero_exits_instead_of_hanging(self):
+        # The budget is refused before the campaign starts, so no request
+        # is submitted with a deadline the service cannot take.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "loadgen",
+                "--sessions", "1", "--requests-per-session", "1",
+                "--workers", "1", "--deadline", "0", "--no-telemetry",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 2, done.stderr
+
+
+class TestServeShardsFlags:
+    """``serve --shards N`` refuses the flags its router cannot honour."""
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--restore"],
+            ["--cache-dir", "cache"],
+            ["--metrics-port", "0"],
+            ["--event-log", "events.jsonl"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_flag_is_a_usage_error(self, flag, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        code = main(
+            ["serve", "--shards", "2", "--store-dir", str(tmp_path), *flag]
+        )
+        assert code == 2
+        assert f"{flag[0]} does not work with --shards" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestListAdd:
