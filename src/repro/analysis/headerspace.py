@@ -8,9 +8,9 @@ search needed.
 The region algebra runs on top of the :mod:`repro.perf.cache` layer:
 regions are hash-consed (one canonical object per distinct constraint,
 with a cached hash and an identity-first equality), and the expensive
-operations — ``intersect``, ``subtract_region``, ``negation_regions``,
-``is_empty``, ``witness`` — are memoized in bounded LRU tables.  On top
-of that, :func:`regions_disjoint` gives a cheap disjointness pre-check
+operations — ``intersect``, ``subtract_region``, ``is_empty``,
+``witness`` — are memoized in bounded LRU tables.  On top of that,
+:func:`regions_disjoint` gives a cheap disjointness pre-check
 (field-wise interval bounding tests) that lets first-match reachability
 and the overlap detector skip the full algebra for regions that cannot
 overlap.  ``docs/PERFORMANCE.md`` describes the caching model; the
@@ -55,7 +55,6 @@ class HeaderSpaceError(RuntimeError):
 _REGION_INTERNER = _perf.Interner("headerspace.regions")
 _R_INTERSECT = _perf.Memo("headerspace.intersect")
 _R_SUBTRACT = _perf.Memo("headerspace.subtract_region")
-_R_NEGATE = _perf.Memo("headerspace.negation")
 _R_EMPTY = _perf.Memo("headerspace.is_empty")
 _R_WITNESS = _perf.Memo("headerspace.witness")
 
@@ -385,30 +384,6 @@ class PacketRegion:
             if not self.protocol.contains(_TCP):
                 return False
         return True
-
-    def negation_regions(self) -> Tuple["PacketRegion", ...]:
-        return _R_NEGATE.lookup(self, self._negation_regions)
-
-    def _negation_regions(self) -> Tuple["PacketRegion", ...]:
-        out: List[PacketRegion] = []
-        for field, universe in (
-            ("src", U32),
-            ("dst", U32),
-            ("protocol", FULL_PROTOCOL_RANGE),
-            ("src_ports", FULL_PORT_RANGE),
-            ("dst_ports", FULL_PORT_RANGE),
-        ):
-            value: IntervalSet = getattr(self, field)
-            if value != universe:
-                out.append(
-                    intern_region(
-                        PacketRegion(**{field: value.complement(universe)})
-                    )
-                )
-        if self.established != BOTH:
-            missing = BOTH - self.established
-            out.append(intern_region(PacketRegion(established=missing)))
-        return tuple(out)
 
     def subtract_region(self, other: "PacketRegion") -> Tuple["PacketRegion", ...]:
         """Exact difference as *disjoint* pieces (hyper-rectangle carving).

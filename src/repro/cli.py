@@ -797,10 +797,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     :class:`~repro.serve.store.DurableSessionStore` and ``--restore``
     rebuilds the open sessions from it; a re-sent ``seq`` that resolved
     before a crash is answered from the journal.  ``--metrics-port``
-    (or ``CLARIFY_METRICS_PORT``) serves ``/metrics`` and ``/healthz``
-    on loopback, and ``--event-log`` (or ``CLARIFY_EVENT_LOG``) appends
-    one wide event per request.  With ``--shards N`` this process is
-    the shard router instead (``_serve_router``).
+    serves ``/metrics`` and ``/healthz`` on loopback, and ``--event-log``
+    appends one wide event per request.  With ``--shards N`` this
+    process is the shard router instead (``_serve_router``).
     """
     from repro import obs
     from repro.obs import telemetry as tele
@@ -813,9 +812,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return _serve_router(args)
 
     metrics_port = args.metrics_port
-    if metrics_port is None and os.environ.get("CLARIFY_METRICS_PORT"):
-        metrics_port = int(os.environ["CLARIFY_METRICS_PORT"])
-    event_log = args.event_log or os.environ.get("CLARIFY_EVENT_LOG") or None
+    event_log = args.event_log or None
     telemetry_on = metrics_port is not None or event_log is not None
 
     stack = build_llm_stack(backend=args.backend, cache_dir=args.cache_dir)
@@ -1217,8 +1214,8 @@ def build_parser() -> argparse.ArgumentParser:
     serving.add_argument(
         "--event-log",
         metavar="PATH",
-        help="append one wide event per request as JSONL to PATH (serve "
-        "also reads CLARIFY_EVENT_LOG); follow it with clarify tail",
+        help="append one wide event per request as JSONL to PATH; follow "
+        "it with clarify tail",
     )
 
     p_add = sub.add_parser(
@@ -1485,8 +1482,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PORT",
         help="serve a live Prometheus /metrics + /healthz endpoint on "
-        "127.0.0.1:PORT (0 picks a free port, announced on stderr; "
-        "env: CLARIFY_METRICS_PORT)",
+        "127.0.0.1:PORT (0 picks a free port, announced on stderr)",
     )
     p_serve.add_argument(
         "--store-dir",

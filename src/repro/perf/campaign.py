@@ -14,7 +14,11 @@ the output *indistinguishable from a serial run*:
   ``cache.*`` hit/miss counters — are a pure function of the chunk's
   payloads;
 * the per-chunk counters are merged by summation in sorted name order
-  and published to the caller's active recorder once.
+  and published to the caller's active recorder once;
+* each payload carries what its task reads — a route-map payload
+  carries the map and the lists it matches on, a path payload the
+  devices on the path — so what a chunk ships to a worker never grows
+  with the rest of the caller's configuration.
 
 Parallel chunks run on the **persistent pool**
 (:mod:`repro.perf.pool`): workers forked once from the warm parent and
@@ -65,6 +69,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -73,6 +78,7 @@ from typing import (
 )
 
 from repro import obs
+from repro.config.store import ConfigStore, copy_route_map_closure
 from repro.obs import telemetry
 from repro.obs.telemetry import TraceContext
 from repro.overlap.chains import chain_overlap_report
@@ -82,27 +88,29 @@ from repro.perf import pool as _pool
 
 Number = Union[int, float]
 
-#: A task implementation: ``fn(payload, context) -> picklable result``.
-TaskFn = Callable[[Any, Any], Any]
+#: A task implementation: ``fn(payload) -> picklable result``.
+TaskFn = Callable[[Any], Any]
 
 
 # ------------------------------------------------------------- task kinds
 
 
-def _acl_overlap_task(payload: Any, context: Any) -> Any:
+def _acl_overlap_task(payload: Any) -> Any:
     return acl_overlap_report(payload)
 
 
-def _route_map_overlap_task(payload: Any, context: Any) -> Any:
-    return route_map_overlap_report(payload, context)
+def _route_map_overlap_task(payload: Any) -> Any:
+    route_map, closure = payload
+    return route_map_overlap_report(route_map, closure)
 
 
-def _chain_overlap_task(payload: Any, context: Any) -> Any:
-    chain = [context.route_map(name) for name in payload]
-    return chain_overlap_report(chain, context)
+def _chain_overlap_task(payload: Any) -> Any:
+    names, closure = payload
+    chain = [closure.route_map(name) for name in names]
+    return chain_overlap_report(chain, closure)
 
 
-def _figure3_task(payload: Any, context: Any) -> Any:
+def _figure3_task(payload: Any) -> Any:
     # Imported lazily: the evaluation pulls in the LLM and BGP layers,
     # which overlap campaigns never need.  The full Figure3Result holds
     # closures (the intent oracles), so workers reduce it to the
@@ -113,13 +121,13 @@ def _figure3_task(payload: Any, context: Any) -> Any:
     return (tuple(figure4_rows(result.stats)), dict(result.policy_results))
 
 
-def _netwide_path_task(payload: Any, context: Any) -> Any:
+def _netwide_path_task(payload: Any) -> Any:
     # Imported lazily: the network-wide checks pull in the lint and BGP
     # layers, which overlap campaigns never need.
     from repro.lint.netwide.checks import analyze_path
 
-    devices = {device.hostname: device for device in context}
-    return analyze_path(payload, devices)
+    path, devices = payload
+    return analyze_path(path, devices)
 
 
 _TASKS: Dict[str, TaskFn] = {
@@ -165,7 +173,6 @@ def _chunk_bounds(count: int, chunk_count: int) -> List[Tuple[int, int]]:
 def _run_chunk(
     kind: str,
     payloads: Sequence[Any],
-    context: Any,
     trace: Optional[TraceContext] = None,
 ) -> Tuple[List[Any], Dict[str, Number]]:
     """Run one chunk from a clean slate; returns (results, counters).
@@ -174,8 +181,7 @@ def _run_chunk(
     the code path is deliberately the same).  Caches are cleared first
     and a private recorder in this thread's scope captures the chunk's
     counters (other threads keep counting into the process recorder),
-    so the return value is a pure function of ``(kind, payloads,
-    context)``.
+    so the return value is a pure function of ``(kind, payloads)``.
 
     ``trace`` is the originating request's
     :class:`~repro.obs.telemetry.TraceContext`, set in the worker's scope
@@ -187,7 +193,7 @@ def _run_chunk(
     recorder = obs.Recorder(capture_spans=False)
     with obs.scope(trace=trace, recorder=recorder), _perf.isolated():
         before = _perf.cache_totals()
-        results = [fn(payload, context) for payload in payloads]
+        results = [fn(payload) for payload in payloads]
         _perf.publish_counters(before)
     return results, dict(recorder.counters)
 
@@ -264,7 +270,6 @@ def _calibrated_rest_chunks(
 def _run_persistent(
     kind: str,
     items: List[Any],
-    context: Any,
     trace: Optional[TraceContext],
     worker_count: int,
     chunks: Optional[int],
@@ -284,11 +289,11 @@ def _run_persistent(
         chunk_payloads = [
             items[lo:hi] for lo, hi in _chunk_bounds(len(items), chunk_count)
         ]
-        outcomes = shared.run(kind, chunk_payloads, context, trace, cache_on)
+        outcomes = shared.run(kind, chunk_payloads, trace, cache_on)
         return outcomes, chunk_payloads
     probe = items[:_PROBE_ITEMS]
     started = time.perf_counter()
-    outcomes = shared.run(kind, [probe], context, trace, cache_on)
+    outcomes = shared.run(kind, [probe], trace, cache_on)
     probe_seconds = time.perf_counter() - started
     rest = items[_PROBE_ITEMS:]
     rest_chunk_count = _calibrated_rest_chunks(
@@ -297,27 +302,24 @@ def _run_persistent(
     rest_chunks = [
         rest[lo:hi] for lo, hi in _chunk_bounds(len(rest), rest_chunk_count)
     ]
-    outcomes = outcomes + shared.run(kind, rest_chunks, context, trace, cache_on)
+    outcomes = outcomes + shared.run(kind, rest_chunks, trace, cache_on)
     return outcomes, [probe] + rest_chunks
 
 
 def run_campaign(
     kind: str,
-    payloads: Sequence[Any],
-    context: Any = None,
+    payloads: Iterable[Any],
     workers: Optional[int] = None,
     chunks: Optional[int] = None,
     pool: Optional[str] = None,
 ) -> CampaignResult:
     """Fan ``payloads`` of one task ``kind`` across the campaign pool.
 
-    ``workers`` defaults to the CPU count; ``workers=1`` forces the
-    serial in-process fallback.  ``chunks`` defaults to a calibrated
-    partition on the persistent pool (worker count elsewhere) — fix
-    *both* when counters must be reproducible across machines, as the
-    benchmark suite does.  ``context`` is pickled once per worker per
-    campaign on the persistent pool and passed to every task (e.g. the
-    :class:`ConfigStore` route-map guards resolve against).  ``pool``
+    Each payload is everything its task reads.  ``workers`` defaults to
+    the CPU count; ``workers=1`` forces the serial in-process fallback.
+    ``chunks`` defaults to a calibrated partition on the persistent pool
+    (worker count elsewhere) — fix *both* when counters must be
+    reproducible across machines, as the benchmark suite does.  ``pool``
     picks the engine (see the module docstring); it defaults to
     ``auto``.
     """
@@ -341,7 +343,7 @@ def run_campaign(
     if engine == "persistent":
         try:
             outcomes, chunk_payloads = _run_persistent(
-                kind, items, context, trace, worker_count, chunks
+                kind, items, trace, worker_count, chunks
             )
             # Pool workers accumulated into private recorders in other
             # processes; the re-publish below is the hub's only sight
@@ -358,9 +360,7 @@ def run_campaign(
         chunk_payloads = [
             items[lo:hi] for lo, hi in _chunk_bounds(len(items), chunk_count)
         ]
-        outcomes = [
-            _run_chunk(kind, chunk, context, trace) for chunk in chunk_payloads
-        ]
+        outcomes = [_run_chunk(kind, chunk, trace) for chunk in chunk_payloads]
         # In-process chunks already ran under the trace, so the hub saw
         # every delta as it happened; re-publishing below must therefore
         # stay trace-free or wide events would double-count.
@@ -383,6 +383,15 @@ def run_campaign(
 # ------------------------------------------------------------ conveniences
 
 
+def _closure(store: ConfigStore, route_maps: Iterable[Any]) -> ConfigStore:
+    """A store of ``route_maps`` and the lists they match on, from ``store``."""
+    closure = ConfigStore()
+    for route_map in route_maps:
+        if not closure.has_route_map(route_map.name):
+            copy_route_map_closure(store, closure, route_map)
+    return closure
+
+
 def acl_overlap_campaign(
     acls: Sequence[Any],
     workers: Optional[int] = None,
@@ -402,11 +411,13 @@ def route_map_overlap_campaign(
     chunks: Optional[int] = None,
     pool: Optional[str] = None,
 ) -> CampaignResult:
-    """:func:`repro.overlap.detector.route_map_overlap_report` over many maps."""
+    """:func:`repro.overlap.detector.route_map_overlap_report` over many maps.
+
+    Each payload is a map and its closure in ``store``.
+    """
     return run_campaign(
         "route-map-overlap",
-        route_maps,
-        context=store,
+        ((rm, _closure(store, [rm])) for rm in route_maps),
         workers=workers,
         chunks=chunks,
         pool=pool,
@@ -420,11 +431,16 @@ def chain_overlap_campaign(
     chunks: Optional[int] = None,
     pool: Optional[str] = None,
 ) -> CampaignResult:
-    """:func:`repro.overlap.chains.chain_overlap_report` over neighbor chains."""
+    """:func:`repro.overlap.chains.chain_overlap_report` over neighbor chains.
+
+    Each payload is a chain's map names and their closure in ``store``.
+    """
     return run_campaign(
         "chain-overlap",
-        [tuple(chain) for chain in chains],
-        context=store,
+        (
+            (tuple(chain), _closure(store, map(store.route_map, chain)))
+            for chain in chains
+        ),
         workers=workers,
         chunks=chunks,
         pool=pool,
@@ -528,12 +544,16 @@ def netwide_path_campaign(
     """:func:`repro.lint.netwide.checks.analyze_path` over many paths.
 
     Each result is the path's diagnostic tuple, in path order — the
-    same tuples a serial loop over :func:`analyze_path` produces.
+    same tuples a serial loop over :func:`analyze_path` produces.  Each
+    payload carries the devices whose filters the path crosses.
     """
+    by_name = {device.hostname: device for device in devices}
     return run_campaign(
         "netwide-path",
-        paths,
-        context=tuple(devices),
+        (
+            (path, {pf.device: by_name[pf.device] for pf in path.filters})
+            for path in paths
+        ),
         workers=workers,
         chunks=chunks,
         pool=pool,

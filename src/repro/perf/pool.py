@@ -14,8 +14,9 @@ calls:
   :func:`repro.perf.cache.isolated` with a private recorder, exactly
   like a serial chunk, so per-chunk results and counters stay a pure
   function of the chunk's payloads (the serial == pooled identity gate);
-* the campaign ``context`` (e.g. a ``ConfigStore``) is pickled **once
-  per worker per campaign**, not once per chunk;
+* there is one kind of work message, ``("run", index, kind, payloads,
+  trace, cache_on)``: each payload carries what its task reads, so
+  nothing reaches a worker beside the chunk it runs;
 * chunks are dispatched one-at-a-time per worker (a worker gets its
   next chunk when it finishes the last), which both load-balances and
   keeps at most one in-flight message per pipe — no pipe-buffer
@@ -58,40 +59,26 @@ def fork_available() -> bool:
 
 
 def _worker_main(conn: Any) -> None:
-    """Worker loop: serve ``ctx``/``run`` messages until ``quit`` or EOF."""
+    """Worker loop: serve ``run`` messages until ``quit`` or EOF."""
     # Imported lazily (and found warm: the fork inherited the parent's
     # module graph) to keep pool module imports acyclic with campaign.
     from repro.perf.campaign import _run_chunk
 
-    ctx_token: Optional[int] = None
-    ctx_value: Any = None
     while True:
         try:
             message = conn.recv()
         except (EOFError, OSError):
             return
-        tag = message[0]
-        if tag == "quit":
+        if message[0] == "quit":
             return
-        if tag == "ctx":
-            ctx_token, ctx_value = message[1], message[2]
-            continue
-        _, index, kind, payloads, token, trace, cache_on = message
+        _, index, kind, payloads, trace, cache_on = message
         try:
-            if token is None:
-                context = None
-            elif token == ctx_token:
-                context = ctx_value
-            else:
-                raise RuntimeError(
-                    f"worker missing campaign context {token!r}"
-                )
             # Fork-once workers never see later configure() calls in the
             # parent, so the parent's cache flag rides along per chunk.
             previous = _perf.enabled()
             _perf.configure(cache_on)
             try:
-                results, counters = _run_chunk(kind, payloads, context, trace)
+                results, counters = _run_chunk(kind, payloads, trace)
             finally:
                 _perf.configure(previous)
             conn.send(("ok", index, results, counters))
@@ -105,12 +92,11 @@ def _worker_main(conn: Any) -> None:
 class _Worker:
     """One forked worker process and its duplex pipe."""
 
-    __slots__ = ("process", "conn", "ctx_token")
+    __slots__ = ("process", "conn")
 
     def __init__(self, process: Any, conn: Any) -> None:
         self.process = process
         self.conn = conn
-        self.ctx_token: Optional[int] = None
 
 
 class PersistentPool:
@@ -131,7 +117,6 @@ class PersistentPool:
         self._workers: List[_Worker] = []
         self._lock = threading.Lock()
         self._closed = False
-        self._next_token = 1
 
     @property
     def size(self) -> int:
@@ -176,7 +161,6 @@ class PersistentPool:
         self,
         kind: str,
         chunks: Sequence[Sequence[Any]],
-        context: Any,
         trace: Any,
         cache_enabled: bool,
     ) -> List[ChunkOutcome]:
@@ -189,13 +173,9 @@ class PersistentPool:
         with self._lock:
             self._ensure_locked(len(chunks))
             workers = self._workers[: max(1, min(len(chunks), self._target))]
-            token: Optional[int] = None
-            if context is not None:
-                token = self._next_token
-                self._next_token += 1
             try:
                 return self._dispatch_locked(
-                    workers, kind, chunks, context, token, trace, cache_enabled
+                    workers, kind, chunks, trace, cache_enabled
                 )
             except PoolBrokenError:
                 self._close_locked()
@@ -206,8 +186,6 @@ class PersistentPool:
         workers: List[_Worker],
         kind: str,
         chunks: Sequence[Sequence[Any]],
-        context: Any,
-        token: Optional[int],
         trace: Any,
         cache_enabled: bool,
     ) -> List[ChunkOutcome]:
@@ -222,11 +200,8 @@ class PersistentPool:
             index = next_chunk
             next_chunk += 1
             try:
-                if token is not None and worker.ctx_token != token:
-                    worker.conn.send(("ctx", token, context))
-                    worker.ctx_token = token
                 worker.conn.send(
-                    ("run", index, kind, list(chunks[index]), token, trace,
+                    ("run", index, kind, list(chunks[index]), trace,
                      cache_enabled)
                 )
             except (OSError, ValueError) as exc:

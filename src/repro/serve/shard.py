@@ -183,18 +183,12 @@ class ShardProcess:
     def spawn(self, restore: bool = False) -> None:
         """Start (or re-start) the subprocess and its reply reader."""
         self._close_pipes()
-        env = dict(os.environ)
-        # Telemetry endpoints are per-process resources; N shards must
-        # not race for one metrics port or interleave one event log.
-        env.pop("CLARIFY_METRICS_PORT", None)
-        env.pop("CLARIFY_EVENT_LOG", None)
         self._proc = subprocess.Popen(
             self._argv(restore),
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             text=True,
-            env=env,
         )
         self._reader = threading.Thread(
             target=self._read_loop,

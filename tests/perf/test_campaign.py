@@ -90,7 +90,7 @@ class TestRunCampaign:
         # chunk runs reaches the process recorder and never the chunk's.
         started, counted = threading.Event(), threading.Event()
 
-        def probe(payload, context):
+        def probe(payload):
             started.set()
             assert counted.wait(timeout=60)
             obs.count("chunk.task")
@@ -257,6 +257,20 @@ class TestStudies:
         assert acl_stats.total == 80
         assert device_count == 1421
         assert triple.overlap_count == 3
+
+    @pytest.mark.skipif(
+        not campaign._pool.fork_available(), reason="fork unavailable"
+    )
+    def test_cloud_study_on_workers_matches_serial(self):
+        # Route-map and chain payloads carry their closures; forced
+        # persistent workers must reproduce the in-process study.
+        serial = campaign.cloud_overlap_study(workers=1, chunks=3, scale=0.1)
+        pooled = campaign.cloud_overlap_study(
+            workers=2, chunks=3, scale=0.1, pool="persistent"
+        )
+        assert serial == pooled
+        chains, with_overlaps, _ = serial[2]
+        assert chains > 0 and with_overlaps > 0
 
     def test_evaluation_campaign_reproduces_figure4(self):
         result = campaign.evaluation_campaign(runs=1, workers=1, chunks=1)

@@ -272,6 +272,35 @@ class TestServeShardsFlags:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestServeTelemetryOptions:
+    """Serve telemetry is set by ``--metrics-port`` and ``--event-log``."""
+
+    def test_environment_sets_no_telemetry(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")])
+        )
+        env["CLARIFY_METRICS_PORT"] = "abc"
+        env["CLARIFY_EVENT_LOG"] = str(tmp_path / "events.jsonl")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve"],
+            input='{"op":"quit"}\n',
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_metrics_port_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--metrics-port", "abc"])
+        assert exc.value.code == 2
+        assert "--metrics-port" in capsys.readouterr().err
+
+
 class TestListAdd:
     def test_prefix_list_exception(self, tmp_path, capsys):
         path = tmp_path / "lists.ios"

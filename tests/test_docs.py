@@ -309,8 +309,6 @@ def test_observability_doc_covers_serving_telemetry():
         "--slo",
         "--check telemetry",
         "--no-telemetry",
-        "CLARIFY_METRICS_PORT",
-        "CLARIFY_EVENT_LOG",
         "clarify tail",
         "telemetry_smoke",
     ):
