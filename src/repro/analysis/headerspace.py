@@ -8,8 +8,8 @@ search needed.
 The region algebra runs on top of the :mod:`repro.perf.cache` layer:
 regions are hash-consed (one canonical object per distinct constraint,
 with a cached hash and an identity-first equality), and the expensive
-operations — ``intersect``, ``subtract_region``, ``is_empty``,
-``witness`` — are memoized in bounded LRU tables.  On top of that,
+operations — ``intersect``, ``subtract_region``, ``is_empty`` — are
+memoized in bounded, oldest-first tables.  On top of that,
 :func:`regions_disjoint` gives a cheap disjointness pre-check
 (field-wise interval bounding tests) that lets first-match reachability
 and the overlap detector skip the full algebra for regions that cannot
@@ -50,18 +50,18 @@ class HeaderSpaceError(RuntimeError):
     """Raised for wildcard masks too pathological to expand exactly."""
 
 
-#: Hash-cons table for regions and LRU memos for the region algebra
-#: (stats surface as ``cache.hits`` / ``cache.misses`` obs counters).
-_REGION_INTERNER = _perf.Interner("headerspace.regions")
+#: Hash-cons table for regions (each region is its own result) and memos
+#: for the region algebra (stats surface as ``cache.hits`` /
+#: ``cache.misses`` obs counters).
+_REGIONS = _perf.Memo("headerspace.regions", max_size=1 << 17)
 _R_INTERSECT = _perf.Memo("headerspace.intersect")
 _R_SUBTRACT = _perf.Memo("headerspace.subtract_region")
 _R_EMPTY = _perf.Memo("headerspace.is_empty")
-_R_WITNESS = _perf.Memo("headerspace.witness")
 
 
 def intern_region(region: "PacketRegion") -> "PacketRegion":
     """The canonical shared object for this region's constraint."""
-    return _REGION_INTERNER.intern(region)
+    return _REGIONS.lookup(region, lambda: region)
 
 
 #: Below this many region pairs, the batched kernel screens cost more
@@ -449,9 +449,6 @@ class PacketRegion:
         )
 
     def witness(self) -> Optional[Packet]:
-        return _R_WITNESS.lookup(self, self._witness)
-
-    def _witness(self) -> Optional[Packet]:
         if self.is_empty():
             return None
         must_be_established = self.established == frozenset((True,))

@@ -18,7 +18,8 @@ pattern sets.
 Like the header-space engine, regions are hash-consed through
 :mod:`repro.perf.cache`: regions are interned (equality usually decides
 by identity), ``intersect`` / ``is_empty`` / ``negation_regions`` /
-``witness`` are memoized in bounded LRU tables, and subtraction skips
+``witness`` and the regex witness searches are memoized in bounded,
+oldest-first tables, and subtraction skips
 regions that a cheap field-wise pre-check
 (:func:`regions_cheaply_disjoint`) proves untouched before any product
 construction or automaton search runs.  See ``docs/PERFORMANCE.md``.
@@ -27,7 +28,6 @@ construction or automaton search runs.  See ``docs/PERFORMANCE.md``.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -82,8 +82,12 @@ class AnalysisError(RuntimeError):
 
 # ----------------------------------------------------------- regex caching
 
+#: Regex witness searches, keyed by ``(required, forbidden)`` pattern
+#: tuples: guards repeat the same small pattern sets.
+_COMMUNITY_WITNESS = _perf.Memo("routespace.community_witness")
+_AS_PATH_WORD = _perf.Memo("routespace.as_path_word")
 
-@functools.lru_cache(maxsize=None)
+
 def _community_witness(
     required: Tuple[str, ...], forbidden: Tuple[str, ...]
 ) -> Optional[Tuple[str, ...]]:
@@ -94,30 +98,37 @@ def _community_witness(
     whole constraint (each witness individually avoids every forbidden
     pattern).
     """
-    witnesses = []
-    for pattern in required:
-        witness = find_community([pattern], list(forbidden))
-        if witness is None:
-            return None
-        witnesses.append(witness)
-    return tuple(witnesses)
+
+    def search() -> Optional[Tuple[str, ...]]:
+        witnesses = []
+        for pattern in required:
+            witness = find_community([pattern], list(forbidden))
+            if witness is None:
+                return None
+            witnesses.append(witness)
+        return tuple(witnesses)
+
+    return _COMMUNITY_WITNESS.lookup((required, forbidden), search)
 
 
-@functools.lru_cache(maxsize=None)
 def _as_path_word(
     required: Tuple[str, ...], forbidden: Tuple[str, ...]
 ) -> Optional[str]:
-    pos = [compile_regex(p) for p in required]
-    neg = [compile_regex(p) for p in forbidden]
-    return find_word(pos, neg)
+    def search() -> Optional[str]:
+        pos = [compile_regex(p) for p in required]
+        neg = [compile_regex(p) for p in forbidden]
+        return find_word(pos, neg)
+
+    return _AS_PATH_WORD.lookup((required, forbidden), search)
 
 
 # ----------------------------------------------------------------- regions
 
 
-#: Hash-cons table for regions and LRU memos for the region algebra
-#: (stats surface as ``cache.*`` counters; see ``docs/PERFORMANCE.md``).
-_REGION_INTERNER = _perf.Interner("routespace.regions")
+#: Hash-cons table for regions (each region is its own result) and memos
+#: for the region algebra (stats surface as ``cache.*`` counters; see
+#: ``docs/PERFORMANCE.md``).
+_REGIONS = _perf.Memo("routespace.regions", max_size=1 << 17)
 _R_INTERSECT = _perf.Memo("routespace.intersect")
 _R_NEGATE = _perf.Memo("routespace.negation")
 _R_EMPTY = _perf.Memo("routespace.is_empty")
@@ -126,7 +137,7 @@ _R_WITNESS = _perf.Memo("routespace.witness")
 
 def intern_route_region(region: "RouteRegion") -> "RouteRegion":
     """Return the canonical shared object for ``region``."""
-    return _REGION_INTERNER.intern(region)
+    return _REGIONS.lookup(region, lambda: region)
 
 
 def regions_cheaply_disjoint(a: "RouteRegion", b: "RouteRegion") -> bool:

@@ -287,6 +287,7 @@ def cmd_list_add(args: argparse.Namespace) -> int:
     """Disambiguated insertion into a prefix-list (the §7 extension)."""
     from repro.config.lists import PrefixListEntry
     from repro.core.disambiguator import disambiguate_prefix_list_entry
+    from repro.core.workflow import check_target
     from repro.netaddr import Ipv4Prefix
 
     store = _read_config(args.config)
@@ -303,6 +304,7 @@ def cmd_list_add(args: argparse.Namespace) -> int:
         return 1
     oracle = ScriptedOracle(args.answers) if args.answers else StdioOracle()
     try:
+        check_target(args.target)
         result = disambiguate_prefix_list_entry(
             store, args.target, entry, oracle
         )
@@ -487,10 +489,12 @@ def cmd_netlint(args: argparse.Namespace) -> int:
     """Network-wide static analysis over a whole device set.
 
     Exit status: 0 clean, 1 when a finding reaches the ``--fail-on``
-    threshold, 3 when ``--baseline`` is given and the rendered JSON
-    report differs from the blessed baseline byte for byte.
+    threshold, 2 when a ``--devices`` file does not parse, 3 when
+    ``--baseline`` is given and the rendered JSON report differs from
+    the blessed baseline byte for byte.
     """
     from repro.config.device import parse_device
+    from repro.config.parser import ConfigParseError
     from repro.lint import render_json, render_text
     from repro.lint.diagnostics import Severity
     from repro.lint.netwide import (
@@ -508,7 +512,12 @@ def cmd_netlint(args: argparse.Namespace) -> int:
         devices = []
         for path in args.devices:
             with open(path) as handle:
-                devices.append(parse_device(handle.read()))
+                text = handle.read()
+            try:
+                devices.append(parse_device(text))
+            except ConfigParseError as exc:
+                print(f"{path}: {exc}", file=sys.stderr)
+                return 2
         title = f"{len(devices)} device file(s)"
     elif args.corpus:
         corpus = _corpus(args.corpus, args.seed, args.scale)

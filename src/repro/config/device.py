@@ -21,7 +21,7 @@ together, and :func:`render_device` writes a file the parser round-trips.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config.parser import ConfigParseError, parse_config
 from repro.config.render import render_config
@@ -113,36 +113,34 @@ def _mask_to_length(mask: Ipv4Address) -> int:
 
 
 def parse_device(text: str) -> DeviceConfig:
-    """Parse one device configuration file."""
+    """Parse one device configuration file.
+
+    Every malformed file, including one that attaches a policy object it
+    does not define, raises :class:`ConfigParseError` with the number of
+    the offending line.
+    """
     device_lines: List[Tuple[int, str]] = []
+    # Device lines stay behind as blanks, so the statement parser's line
+    # numbers are the file's.
     policy_lines: List[str] = []
-    mode: Optional[str] = None
+    in_device = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
-        if not stripped or stripped.startswith("!"):
-            if not raw.startswith(" "):
-                mode = None
-            continue
-        head = stripped.split()[0]
         if not raw.startswith(" "):
-            if head in ("hostname", "interface") or stripped.startswith(
-                "router bgp"
-            ):
-                mode = "device"
-                device_lines.append((line_no, stripped))
-                continue
-            mode = None
-        if mode == "device" and raw.startswith(" "):
+            in_device = stripped.split()[:1] in (
+                ["hostname"],
+                ["interface"],
+            ) or stripped.startswith("router bgp")
+        if in_device and stripped and not stripped.startswith("!"):
             device_lines.append((line_no, stripped))
-        else:
-            policy_lines.append(raw)
+            raw = ""
+        policy_lines.append(raw)
 
     store = parse_config("\n".join(policy_lines))
     device = DeviceConfig(hostname="", store=store)
     _parse_device_blocks(device, device_lines)
     if not device.hostname:
         raise ConfigParseError(0, "", "device file has no hostname")
-    device.validate()
     return device
 
 
@@ -157,6 +155,15 @@ def _parse_device_blocks(
 
     def error(line_no: int, line: str, message: str) -> ConfigParseError:
         return ConfigParseError(line_no, line, message)
+
+    def defined(
+        line_no: int, line: str, find: Callable[[str], object], name: str
+    ) -> str:
+        try:
+            find(name)
+        except KeyError as exc:
+            raise error(line_no, line, exc.args[0]) from None
+        return name
 
     current_interface: Optional[dict] = None
     in_bgp = False
@@ -184,11 +191,11 @@ def _parse_device_blocks(
         elif words[0] == "router" and words[1:2] == ["bgp"]:
             flush_interface()
             in_bgp = True
-            if len(words) != 3 or not words[2].isdigit():
+            if len(words) != 3 or not words[2].isdecimal():
                 raise error(line_no, line, "expected 'router bgp ASN'")
             bgp_asn = int(words[2])
         elif current_interface is not None and words[0] == "ip":
-            if words[1] == "address" and len(words) == 4:
+            if words[1:2] == ["address"] and len(words) == 4:
                 try:
                     address = Ipv4Address.parse(words[2])
                     length = _mask_to_length(Ipv4Address.parse(words[3]))
@@ -196,11 +203,13 @@ def _parse_device_blocks(
                     raise error(line_no, line, str(exc)) from None
                 current_interface["address"] = address
                 current_interface["prefix_length"] = length
-            elif words[1] == "access-group" and len(words) == 4:
+            elif words[1:2] == ["access-group"] and len(words) == 4:
                 direction = words[3]
                 if direction not in ("in", "out"):
                     raise error(line_no, line, "access-group needs in/out")
-                current_interface[f"acl_{direction}"] = words[2]
+                current_interface[f"acl_{direction}"] = defined(
+                    line_no, line, device.store.acl, words[2]
+                )
             else:
                 raise error(line_no, line, "unknown interface statement")
         elif in_bgp:
@@ -223,24 +232,37 @@ def _parse_device_blocks(
                     raise error(line_no, line, str(exc)) from None
                 route_map = None
                 if len(words) == 6 and words[4] == "route-map":
-                    route_map = words[5]
+                    route_map = defined(
+                        line_no, line, device.store.route_map, words[5]
+                    )
                 elif len(words) != 4:
                     raise error(line_no, line, "bad network statement")
                 networks.append(NetworkStatement(prefix, route_map))
             elif words[0] == "neighbor":
                 if len(words) < 4:
                     raise error(line_no, line, "truncated neighbor statement")
-                address = words[1]
-                entry = neighbors.setdefault(
-                    address, {"remote_as": None, "in": [], "out": []}
-                )
-                if words[2] == "remote-as" and words[3].isdigit():
+                entry = neighbors.get(words[1])
+                if entry is None:
+                    try:
+                        address = Ipv4Address.parse(words[1])
+                    except ValueError as exc:
+                        raise error(line_no, line, str(exc)) from None
+                    entry = neighbors[words[1]] = {
+                        "address": address,
+                        "line": (line_no, line),
+                        "remote_as": None,
+                        "in": [],
+                        "out": [],
+                    }
+                if words[2] == "remote-as" and words[3].isdecimal():
                     entry["remote_as"] = int(words[3])
                 elif words[2] == "route-map" and len(words) == 5:
                     direction = words[4]
                     if direction not in ("in", "out"):
                         raise error(line_no, line, "route-map needs in/out")
-                    entry[direction].append(words[3])
+                    entry[direction].append(
+                        defined(line_no, line, device.store.route_map, words[3])
+                    )
                 else:
                     raise error(line_no, line, "unknown neighbor statement")
             else:
@@ -251,14 +273,12 @@ def _parse_device_blocks(
 
     if bgp_asn is not None:
         parsed_neighbors = []
-        for address, entry in neighbors.items():
+        for text, entry in neighbors.items():
             if entry["remote_as"] is None:
-                raise ConfigParseError(
-                    0, address, f"neighbor {address} has no remote-as"
-                )
+                raise error(*entry["line"], f"neighbor {text} has no remote-as")
             parsed_neighbors.append(
                 BgpNeighbor(
-                    address=Ipv4Address.parse(address),
+                    address=entry["address"],
                     remote_as=entry["remote_as"],
                     import_chain=tuple(entry["in"]),
                     export_chain=tuple(entry["out"]),

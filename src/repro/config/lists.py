@@ -93,9 +93,6 @@ class PrefixList:
                 return entry.action == PERMIT
         return False
 
-    def with_entries(self, entries: Iterable[PrefixListEntry]) -> "PrefixList":
-        return PrefixList(self.name, tuple(entries))
-
 
 # ------------------------------------------------------------ community lists
 

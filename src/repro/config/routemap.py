@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 from repro.config.lists import DENY, PERMIT
 from repro.config.matches import MatchClause
@@ -91,12 +91,6 @@ class RouteMap:
 
     def with_name(self, name: str) -> "RouteMap":
         return dataclasses.replace(self, name=name)
-
-    @classmethod
-    def from_stanzas(
-        cls, name: str, stanzas: Iterable[RouteMapStanza]
-    ) -> "RouteMap":
-        return cls(name, tuple(stanzas))
 
     def __len__(self) -> int:
         return len(self.stanzas)

@@ -60,6 +60,19 @@ from repro.llm.transcript import TranscribingClient
 _SESSION_IDS = itertools.count(1)
 
 
+def check_target(target: str) -> None:
+    """Refuse a target name that would not render as one config token.
+
+    An empty name renders ``route-map  permit 10``, one with a space a
+    line the parser refuses, and one with a newline two lines: a caller
+    could inject configuration through it.
+    """
+    if target.split() != [target]:
+        raise ClarifyError(
+            f"target must be one word without whitespace, got {target!r}"
+        )
+
+
 def _journal_cycle_error(exc: ClarifyError) -> None:
     """Emit ``cycle.error`` with enough data to rebuild the outcome.
 
@@ -167,6 +180,7 @@ class ClarifySession:
             obs.count("clarify.cycles")
             self._journal_cycle_start("request", target, intent=intent_text)
             try:
+                check_target(target)
                 calls_before = self.llm.call_count()
                 result = self.pipeline.synthesize(intent_text)
                 self.spec_reviews += 1
@@ -208,6 +222,7 @@ class ClarifySession:
                 "reuse", target, kind=kind, snippet=snippet
             )
             try:
+                check_target(target)
                 report = self._insert(
                     kind, snippet, target, oracle, llm_calls=0, attempts=0
                 )
@@ -351,4 +366,4 @@ class _CountInto:
         return answer
 
 
-__all__ = ["ClarifySession", "UpdateReport"]
+__all__ = ["ClarifySession", "UpdateReport", "check_target"]

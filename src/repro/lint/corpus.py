@@ -114,10 +114,6 @@ class CorpusLintResult:
             and self.observed.get(MIXED, 0) == 0
         )
 
-    @property
-    def flagged_acls(self) -> int:
-        return self.total_acls - self.observed.get(CLEAN, 0)
-
     def render(self) -> str:
         lines = [f"{self.total_acls} ACLs classified from diagnostics:"]
         order = (

@@ -55,20 +55,23 @@ from repro.lint.netwide.spaces import device_fingerprint
 #: fingerprints of every device it crosses.
 _PathKey = Tuple[object, ...]
 
+#: Bound on one analyzer's path cache, which evicts oldest-first.
+MAX_CACHED_PATHS = 4096
+
 
 class NetwideAnalyzer:
     """Whole-network analysis with per-path incremental caching.
 
     One analyzer instance amortises repeated analyses of an evolving
     network — the netwide insertion gate holds one across a session.
-    ``max_cached_paths`` bounds the per-instance LRU.
+    Its path cache holds at most :data:`MAX_CACHED_PATHS` entries and
+    evicts the oldest first, like the :mod:`repro.perf.cache` tables.
     """
 
-    def __init__(self, max_cached_paths: int = 4096) -> None:
+    def __init__(self) -> None:
         self._path_cache: "OrderedDict[_PathKey, Tuple[Diagnostic, ...]]" = (
             OrderedDict()
         )
-        self._max_cached_paths = max_cached_paths
 
     def analyze(
         self,
@@ -128,14 +131,14 @@ class NetwideAnalyzer:
         obs.count("netwide.paths", len(paths))
         keyed = [(self._path_key(path, fps), path) for path in paths]
         # Findings for this run are assembled from a local map, never
-        # read back from the LRU — an LRU smaller than one run's path
+        # read back from the cache — a cache smaller than one run's path
         # count may evict entries mid-run without affecting the report.
         this_run: Dict[_PathKey, Tuple[Diagnostic, ...]] = {}
         todo = []
         for key, path in keyed:
-            if key in self._path_cache:
-                self._path_cache.move_to_end(key)
-                this_run[key] = self._path_cache[key]
+            cached = self._path_cache.get(key)
+            if cached is not None:
+                this_run[key] = cached
             else:
                 todo.append((key, path))
         obs.count("netwide.paths.cached", len(keyed) - len(todo))
@@ -178,8 +181,7 @@ class NetwideAnalyzer:
         self, key: _PathKey, diagnostics: Tuple[Diagnostic, ...]
     ) -> None:
         self._path_cache[key] = diagnostics
-        self._path_cache.move_to_end(key)
-        while len(self._path_cache) > self._max_cached_paths:
+        while len(self._path_cache) > MAX_CACHED_PATHS:
             self._path_cache.popitem(last=False)
 
 

@@ -16,9 +16,9 @@ Interval sets are additionally **hash-consed** through the
 structurally equal sets collapse to one object (equality then hits the
 identity fast path), hashes are computed once per object, and the binary
 operations ``intersect``/``complement`` (and ``subtract``, which is a
-complement) are memoized in bounded LRU tables.  The §3 overlap study
-performs hundreds of thousands of these operations over a small universe
-of distinct sets, so the memo hit rate is high; see
+complement) are memoized in bounded, oldest-first tables.  The §3
+overlap study performs hundreds of thousands of these operations over a
+small universe of distinct sets, so the memo hit rate is high; see
 ``docs/PERFORMANCE.md``.
 """
 
@@ -68,15 +68,16 @@ def _normalise(intervals: Iterable[Interval]) -> Tuple[Interval, ...]:
     return tuple(merged)
 
 
-#: Hash-cons table for canonical sets and LRU memos for the binary
-#: operations (see module docstring; stats surface as ``cache.*``).
-_SET_INTERNER = _perf.Interner("intervals.sets")
+#: Hash-cons table for canonical sets (each set is its own result) and
+#: memos for the binary operations (see module docstring; stats surface
+#: as ``cache.*``).
+_SETS = _perf.Memo("intervals.sets", max_size=1 << 17)
 _INTERSECT_MEMO = _perf.Memo("intervals.intersect")
 _COMPLEMENT_MEMO = _perf.Memo("intervals.complement")
 
 
 def _perf_intern(value: "IntervalSet") -> "IntervalSet":
-    return _SET_INTERNER.intern(value)
+    return _SETS.lookup(value, lambda: value)
 
 
 @dataclasses.dataclass(frozen=True)

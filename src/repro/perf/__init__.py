@@ -2,8 +2,8 @@
 
 Two pieces, documented in ``docs/PERFORMANCE.md``:
 
-* :mod:`repro.perf.cache` — hash-consing (:class:`Interner`) and
-  bounded LRU memoization (:class:`Memo`) for the interval-set,
+* :mod:`repro.perf.cache` — bounded, oldest-first memo tables
+  (:class:`Memo`) that hash-cons and memoize the interval-set,
   packet-region, and route-region algebras, with ``cache.hits`` /
   ``cache.misses`` observability counters;
 * :mod:`repro.perf.campaign` — a process-pool runner that fans the §3
@@ -19,7 +19,6 @@ evaluation layers, which live above this package.
 """
 
 from repro.perf.cache import (
-    Interner,
     Memo,
     SingleFlight,
     cache_stats,
@@ -33,7 +32,6 @@ from repro.perf.cache import (
 )
 
 __all__ = [
-    "Interner",
     "Memo",
     "SingleFlight",
     "cache_stats",

@@ -1,26 +1,25 @@
-"""Hash-consing and memoization primitives for the symbolic core.
+"""Memoization and hash-consing for the symbolic core.
 
 The analysis engines (:mod:`repro.analysis.headerspace`,
 :mod:`repro.analysis.routespace`, :mod:`repro.netaddr.intervals`) spend
 almost all of their time re-deriving the same small algebraic facts:
 the §3 overlap study intersects the same interned interval sets hundreds
 of thousands of times, and first-match reachability re-tests emptiness
-of regions it has already carved.  This module provides the two shared
-mechanisms those engines build on:
+of regions it has already carved.  One mechanism serves them all: a
+:class:`Memo` is a bounded table, evicting oldest-first, for the results
+of one pure operation keyed by its (interned) operands.  A memo whose
+key is also its result *hash-conses*: structurally equal values
+collapse to one canonical object, so equality checks hit the ``is``
+fast path and memo-table keys hash once.
 
-* an :class:`Interner` hash-conses immutable values — structurally equal
-  values collapse to one canonical object, so equality checks hit the
-  ``is`` fast path and memo-table keys hash once;
-* a :class:`Memo` is a bounded LRU table for pure operation results,
-  keyed by the (interned) operands.
-
-Both are registered in a process-wide registry so the whole cache layer
-can be cleared (:func:`clear_caches`), inspected (:func:`cache_stats`),
-or bypassed (:func:`disabled`, used by the differential tests that pin
-the memoized engines to the original semantics).  Hit/miss totals are
-kept as plain integers — cheap enough for the innermost loops — and
-published to the active :mod:`repro.obs` recorder on demand as
-``cache.hits`` / ``cache.misses`` counters (:func:`publish_counters`).
+Every memo is registered in a process-wide registry so the whole cache
+layer can be cleared (:func:`clear_caches`), inspected
+(:func:`cache_stats`), isolated (:func:`isolated`) or bypassed
+(:func:`disabled`, used by the differential tests that pin the memoized
+engines to the original semantics).  Hit/miss totals are kept as plain
+integers — cheap enough for the innermost loops — and published to the
+active :mod:`repro.obs` recorder on demand as ``cache.hits`` /
+``cache.misses`` counters (:func:`publish_counters`).
 
 Correctness never depends on cache *content*: every table stores results
 of pure functions over immutable values, so eviction, clearing, or
@@ -48,18 +47,13 @@ from typing import (
     Optional,
     Tuple,
     TypeVar,
-    Union,
     cast,
 )
 
-T = TypeVar("T", bound=Hashable)
 V = TypeVar("V")
 
 #: Default bound for one memo table; small entries, so this is a few MB.
 DEFAULT_MEMO_SIZE = 1 << 16
-
-#: Default bound for one intern table.
-DEFAULT_INTERN_SIZE = 1 << 17
 
 #: Sentinel distinguishing "cached None" from "not cached".
 _MISSING = object()
@@ -68,13 +62,19 @@ _enabled: bool = True
 
 
 class Memo:
-    """A bounded LRU table for the results of one pure operation.
+    """A bounded table for the results of one pure operation.
 
     ``lookup(key, compute)`` is the only entry point the engines use: it
     returns the cached value, or calls ``compute()`` and caches the
     result.  ``None`` results are cached too (witness extraction returns
-    ``None`` for empty regions).  When the cache layer is disabled the
-    table is bypassed entirely and nothing is counted.
+    ``None`` for empty regions).  Past ``max_size`` entries the oldest
+    insertion is evicted; a hit does not reorder.  When the cache layer
+    is disabled the table is bypassed entirely and nothing is counted.
+
+    ``lookup(value, lambda: value)`` interns ``value``: equal values come
+    back as one canonical object.  Eviction is safe there too: an
+    evicted value merely loses its canonical status, and a later lookup
+    of an equal value starts a new equivalence class.
     """
 
     def __init__(self, name: str, max_size: int = DEFAULT_MEMO_SIZE) -> None:
@@ -92,10 +92,6 @@ class Memo:
         value = table.get(key, _MISSING)
         if value is not _MISSING:
             self.hits += 1
-            try:
-                table.move_to_end(key)
-            except KeyError:  # pragma: no cover - concurrent eviction
-                pass
             return value  # type: ignore[return-value]
         self.misses += 1
         result = compute()
@@ -106,48 +102,6 @@ class Memo:
             except KeyError:  # pragma: no cover - concurrent eviction
                 pass
         return result
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def clear(self) -> None:
-        """Drop every entry; hit/miss totals are preserved."""
-        self._table.clear()
-
-
-class Interner:
-    """A bounded intern table: structurally equal values become one object.
-
-    Interned values compare equal by identity, which makes every
-    downstream dict lookup, memo key, and ``==`` check cheap.  Eviction
-    is safe: an evicted value merely loses its canonical status, and a
-    later intern of an equal value starts a new equivalence class.
-    """
-
-    def __init__(self, name: str, max_size: int = DEFAULT_INTERN_SIZE) -> None:
-        self.name = name
-        self.max_size = max_size
-        self.hits = 0
-        self.misses = 0
-        self._table: "OrderedDict[Hashable, Hashable]" = OrderedDict()
-        _REGISTRY.append(self)
-
-    def intern(self, value: T) -> T:
-        if not _enabled:
-            return value
-        table = self._table
-        canonical = table.get(value, _MISSING)
-        if canonical is not _MISSING:
-            self.hits += 1
-            return canonical  # type: ignore[return-value]
-        self.misses += 1
-        table[value] = value
-        if len(table) > self.max_size:
-            try:
-                table.popitem(last=False)
-            except KeyError:  # pragma: no cover - concurrent eviction
-                pass
-        return value
 
     def __len__(self) -> int:
         return len(self._table)
@@ -180,7 +134,7 @@ class SingleFlight:
     cache; pair it with a :class:`Memo` when completed results should be
     reused (see :class:`repro.llm.dedup.DedupClient`).
 
-    Unlike :class:`Memo`/:class:`Interner` this class is fully locked —
+    Unlike :class:`Memo` this class is fully locked —
     it exists to uphold a *correctness* property (one upstream call per
     in-flight key), not to trade speed for memory — and it is therefore
     deliberately independent of :func:`configure`/:func:`disabled`:
@@ -231,11 +185,11 @@ class SingleFlight:
             return len(self._inflight)
 
 
-_REGISTRY: List[Union[Memo, Interner]] = []
+_REGISTRY: List[Memo] = []
 
 
 def enabled() -> bool:
-    """True when memoization and interning are active (the default)."""
+    """True when the memo tables are active (the default)."""
     return _enabled
 
 
@@ -277,7 +231,7 @@ def isolated() -> Iterator[None]:
     *and* counters, the chunk's and the caller's — to a process-pool
     run, whose worker-side tables and totals never reach the parent.
     """
-    snapshot: List[Tuple[Union[Memo, Interner], int, int, Any]] = [
+    snapshot: List[Tuple[Memo, int, int, Any]] = [
         (table, table.hits, table.misses, table._table) for table in _REGISTRY
     ]
     known = {id(table) for table in _REGISTRY}
@@ -299,7 +253,7 @@ def isolated() -> Iterator[None]:
 
 
 def clear_caches() -> None:
-    """Empty every registered memo and intern table.
+    """Empty every registered memo table.
 
     This is the only "invalidation" the layer needs: all cached values
     are results of pure functions, so clearing affects memory and speed,
@@ -355,9 +309,7 @@ def publish_counters(since: Dict[str, int]) -> Dict[str, int]:
 
 
 __all__ = [
-    "DEFAULT_INTERN_SIZE",
     "DEFAULT_MEMO_SIZE",
-    "Interner",
     "Memo",
     "SingleFlight",
     "cache_stats",

@@ -25,7 +25,7 @@ Parallel chunks run on the **persistent pool**
 reused across campaign calls, so repeat campaigns stop paying process
 start-up and cold imports.  Only per-chunk *mutable* state (memo-table
 entries, hit/miss tallies) is cleared between chunks; the fork-inherited
-module graph and the interner's canonical module-level constants stay
+module graph and its hash-consed module-level constants stay
 warm.  The ``pool`` argument picks the engine:
 
 ``auto`` (default)

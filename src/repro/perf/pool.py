@@ -6,8 +6,8 @@ module keeps a small set of **forked** workers alive across campaign
 calls:
 
 * workers are forked once from the fully-imported parent, so they
-  inherit the warm module graph — compiled bytecode, the interner's
-  canonical module-level constants (``U32``, ``EMPTY_SET``,
+  inherit the warm module graph — compiled bytecode, the hash-consed
+  module-level constants (``U32``, ``EMPTY_SET``,
   ``FULL_PORT_RANGE``, …) and every ``repro`` module already loaded —
   for free, read-only, via copy-on-write;
 * per-chunk *mutable* state is still wiped: every chunk runs under

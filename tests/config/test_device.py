@@ -98,8 +98,56 @@ class TestParseDevice:
         ],
     )
     def test_rejects_malformed(self, text):
-        with pytest.raises((ConfigParseError, KeyError)):
+        with pytest.raises(ConfigParseError):
             parse_device(text)
+
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            (
+                "hostname R1\ninterface e0\n ip access-group NOPE in",
+                3,
+                "undefined access-list 'NOPE'",
+            ),
+            (
+                "hostname R1\nrouter bgp 1\n neighbor 1.1.1.1 remote-as 2\n"
+                " neighbor 1.1.1.1 route-map X in",
+                4,
+                "undefined route-map 'X'",
+            ),
+            ("hostname R1\ninterface e0\n ip", 3, "unknown interface statement"),
+            (
+                "hostname R1\nrouter bgp 1\n neighbor 1.2.3 remote-as 5",
+                3,
+                "invalid IPv4 address",
+            ),
+            (
+                "hostname R1\ninterface e0\n!\nroute-map X allow 10",
+                4,
+                "action must be",
+            ),
+            # str.isdigit() holds for "²", which int() refuses.
+            ("hostname R1\nrouter bgp \u00b2", 2, "expected 'router bgp ASN'"),
+            (
+                "hostname R1\nrouter bgp 1\n neighbor 1.1.1.1 remote-as \u00b2",
+                3,
+                "unknown neighbor statement",
+            ),
+        ],
+        ids=[
+            "dangling-acl",
+            "dangling-route-map",
+            "bare-ip",
+            "bad-neighbor",
+            "policy-line",
+            "superscript-asn",
+            "superscript-remote-as",
+        ],
+    )
+    def test_malformed_input_names_its_line(self, text, line_no, message):
+        with pytest.raises(ConfigParseError, match=message) as caught:
+            parse_device(text)
+        assert caught.value.line_no == line_no
 
     def test_neighbor_without_remote_as_rejected(self):
         text = (
@@ -117,7 +165,7 @@ class TestParseDevice:
             "interface X\n"
             " ip access-group NOPE in\n"
         )
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigParseError, match="line 3"):
             parse_device(text)
 
 

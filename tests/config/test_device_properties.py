@@ -1,4 +1,7 @@
-"""Property tests: random device configurations round-trip exactly."""
+"""Property tests: random device configurations round-trip exactly, and
+mutated device files fail only with :class:`ConfigParseError`."""
+
+import functools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +15,10 @@ from repro.config.device import (
     parse_device,
     render_device,
 )
+from repro.config.parser import ConfigParseError
 from repro.config.routemap import RouteMap, RouteMapStanza
 from repro.config.store import ConfigStore
+from repro.evalcase.devices import figure3_device_files
 from repro.netaddr import Ipv4Address, Ipv4Prefix
 
 hostnames = st.from_regex(r"[a-z][a-z0-9-]{0,12}", fullmatch=True)
@@ -90,3 +95,48 @@ class TestDeviceRoundTrip:
         assert reparsed.interfaces == device.interfaces
         assert reparsed.bgp == device.bgp
         assert render_device(reparsed) == text
+
+
+@functools.lru_cache(maxsize=None)
+def figure3_lines():
+    """Each Figure 3 device file as a tuple of lines, and every token."""
+    files = tuple(
+        tuple(text.splitlines())
+        for _, text in sorted(figure3_device_files().items())
+    )
+    tokens = sorted({tok for lines in files for line in lines for tok in line.split()})
+    return files, tokens
+
+
+@st.composite
+def mutated_device_files(draw):
+    """A Figure 3 device file with one to three tokens dropped,
+    duplicated or replaced by another token of the files."""
+    files, tokens = figure3_lines()
+    lines = list(draw(st.sampled_from(files)))
+    for _ in range(draw(st.integers(1, 3))):
+        index = draw(st.integers(0, len(lines) - 1))
+        words = lines[index].split()
+        if not words:
+            continue
+        indent = lines[index][: len(lines[index]) - len(lines[index].lstrip())]
+        at = draw(st.integers(0, len(words) - 1))
+        op = draw(st.sampled_from(["drop", "duplicate", "replace"]))
+        if op == "drop":
+            del words[at]
+        elif op == "duplicate":
+            words.insert(at, words[at])
+        else:
+            words[at] = draw(st.sampled_from(tokens))
+        lines[index] = indent + " ".join(words)
+    return "\n".join(lines)
+
+
+class TestMutatedDeviceFiles:
+    @given(mutated_device_files())
+    @settings(max_examples=100, deadline=None)
+    def test_only_config_parse_errors(self, text):
+        try:
+            parse_device(text)
+        except ConfigParseError:
+            pass

@@ -132,6 +132,16 @@ class TestDeviceFilesAndCorpora:
         assert main(["netlint", "--devices", *paths]) == 1
         assert "NW001" in capsys.readouterr().out
 
+    def test_unparseable_device_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "R1.ios"
+        path.write_text("hostname R1\ninterface e0\n ip access-group NOPE in\n")
+        assert main(["netlint", "--devices", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"{path}: line 3: undefined access-list 'NOPE'"
+        )
+
     def test_corpus_drift_only(self, capsys):
         code = main(
             [

@@ -2,6 +2,7 @@
 
 from repro import obs
 from repro.config.acl import Acl, AclRule, ProtocolSpec
+from repro.lint.netwide import analyze as analyze_module
 from repro.lint.netwide import (
     NetwideAnalyzer,
     analyze_network,
@@ -57,10 +58,15 @@ class TestIncremental:
         assert after["netwide.paths.cached"] == 2
         assert after["netwide.paths.analyzed"] == 6
 
-    def test_cache_is_bounded(self):
-        analyzer = NetwideAnalyzer(max_cached_paths=3)
-        analyzer.analyze(seed_devices())
+    def test_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(analyze_module, "MAX_CACHED_PATHS", 3)
+        analyzer = NetwideAnalyzer()
+        report = analyzer.analyze(seed_devices())
         assert len(analyzer._path_cache) == 3
+        # Evicting mid-run leaves the report whole.
+        assert render_json(report) == render_json(
+            analyze_network(seed_devices())
+        )
 
 
 class TestPooledIdentity:

@@ -1,15 +1,22 @@
-"""Unit tests for the hash-consing/memoization primitives.
+"""Unit tests for the memoization primitives.
 
 The layer's contract: tables only ever change *speed*.  These tests pin
-the mechanics that make that true — LRU bounds, hit/miss accounting,
-clear-preserves-totals, and the ``disabled``/``isolated`` contexts the
-differential tests and the campaign runner are built on.
+the mechanics that make that true — oldest-first bounds, hit/miss
+accounting, clear-preserves-totals, and the ``disabled``/``isolated``
+contexts the differential tests and the campaign runner are built on —
+and that :class:`~repro.perf.cache.Memo` is the only memo mechanism
+under ``src/repro``.
 """
+
+import ast
+import pathlib
 
 import pytest
 
 from repro import obs
 from repro.perf import cache
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 @pytest.fixture
@@ -27,15 +34,37 @@ def scratch_tables():
         cache._REGISTRY.remove(table)
 
 
+#: The two ways the engines call ``lookup``: with a computed result, and
+#: with the key as its own result (interning, the hash-cons tables).
+#: The tests below run each case on both.
+RESULTS = {
+    "computed": lambda key: ("result",) + key,
+    "interned": lambda key: key,
+}
+
+
 class TestMemo:
+    # Keys are built with tuple([...]): that defeats CPython's
+    # per-code-object constant folding, which would otherwise make two
+    # equal literals one object already.
+
     def test_miss_then_hit(self, scratch_tables):
-        memo = scratch_tables(cache.Memo, "t.memo")
-        calls = []
-        compute = lambda: calls.append(1) or "value"  # noqa: E731
-        assert memo.lookup("k", compute) == "value"
-        assert memo.lookup("k", compute) == "value"
-        assert len(calls) == 1
-        assert (memo.hits, memo.misses) == (1, 1)
+        for kind, result_of in RESULTS.items():
+            memo = scratch_tables(cache.Memo, f"t.memo.{kind}")
+            calls = []
+
+            def lookup(key):
+                return memo.lookup(key, lambda: calls.append(1) or result_of(key))
+
+            key = tuple([1, 2, 3])
+            first = lookup(key)
+            second = lookup(tuple([1, 2, 3]))
+            assert second is first, f"{kind}: equal keys share one result"
+            assert first == result_of(key)
+            assert len(calls) == 1
+            assert (memo.hits, memo.misses) == (1, 1)
+            # Interned, equal values collapse to the first one seen.
+            assert (first is key) == (kind == "interned")
 
     def test_none_results_are_cached(self, scratch_tables):
         memo = scratch_tables(cache.Memo, "t.none")
@@ -44,18 +73,30 @@ class TestMemo:
         assert memo.lookup("k", lambda: calls.append(1)) is None
         assert len(calls) == 1
 
-    def test_lru_eviction_order(self, scratch_tables):
-        memo = scratch_tables(cache.Memo, "t.lru", max_size=2)
-        memo.lookup("a", lambda: 1)
-        memo.lookup("b", lambda: 2)
-        memo.lookup("a", lambda: 1)  # refresh "a": "b" is now oldest
-        memo.lookup("c", lambda: 3)  # evicts "b"
-        assert len(memo) == 2
-        calls = []
-        memo.lookup("b", lambda: calls.append(1) or 2)
-        assert calls, "evicted key must recompute"
-        memo.lookup("a", lambda: calls.append(2))
-        assert len(calls) == 2, "refreshed key was evicted"
+    def test_oldest_first_eviction(self, scratch_tables):
+        for kind, result_of in RESULTS.items():
+            memo = scratch_tables(cache.Memo, f"t.evict.{kind}", max_size=2)
+            calls = []
+
+            def lookup(key):
+                return memo.lookup(
+                    key, lambda: calls.append(key) or result_of(key)
+                )
+
+            first = lookup(tuple(["a"]))
+            lookup(tuple(["b"]))
+            assert lookup(tuple(["a"])) is first  # a hit does not refresh "a"
+            lookup(tuple(["c"]))  # evicts "a", the oldest insertion
+            assert len(memo) == 2
+            assert calls == [("a",), ("b",), ("c",)], kind
+            again = lookup(tuple(["a"]))
+            assert calls[-1] == ("a",), f"{kind}: evicted key must recompute"
+            # An evicted result loses its canonical status: the
+            # recomputed one is equal but a new object (for an interned
+            # value, a new equivalence class).
+            assert again is not first and again == first
+            lookup(tuple(["c"]))
+            assert len(calls) == 4, f"{kind}: the newest key was evicted"
 
     def test_clear_preserves_totals(self, scratch_tables):
         memo = scratch_tables(cache.Memo, "t.clear")
@@ -66,41 +107,51 @@ class TestMemo:
         assert (memo.hits, memo.misses) == (1, 1)
 
     def test_disabled_bypasses_and_counts_nothing(self, scratch_tables):
-        memo = scratch_tables(cache.Memo, "t.off")
-        calls = []
-        with cache.disabled():
-            assert not cache.enabled()
-            memo.lookup("k", lambda: calls.append(1) or "v")
-            memo.lookup("k", lambda: calls.append(1) or "v")
-        assert cache.enabled()
-        assert len(calls) == 2
-        assert (memo.hits, memo.misses) == (0, 0)
-        assert len(memo) == 0  # cleared on exit
+        for kind, result_of in RESULTS.items():
+            memo = scratch_tables(cache.Memo, f"t.off.{kind}")
+            memo.lookup(tuple([1, 2]), lambda: result_of((1, 2)))
+            calls = []
+
+            def lookup(key):
+                return memo.lookup(key, lambda: calls.append(1) or result_of(key))
+
+            with cache.disabled():
+                assert not cache.enabled()
+                first = lookup(tuple([1, 2]))
+                second = lookup(tuple([1, 2]))
+            assert cache.enabled()
+            assert len(calls) == 2, kind
+            assert second is not first and second == first
+            assert (memo.hits, memo.misses) == (0, 1)
+            assert len(memo) == 0  # cleared on exit
 
 
-class TestInterner:
-    def test_equal_values_collapse_to_one_object(self, scratch_tables):
-        interner = scratch_tables(cache.Interner, "t.intern")
-        first = interner.intern(tuple([1, 2, 3]))
-        second = interner.intern(tuple([1, 2, 3]))
-        assert second is first
-        assert (interner.hits, interner.misses) == (1, 1)
+class TestOneMechanism:
+    def test_src_has_no_functools_caches(self):
+        """Every memo goes through :class:`cache.Memo`.
 
-    def test_eviction_starts_a_new_equivalence_class(self, scratch_tables):
-        interner = scratch_tables(cache.Interner, "t.evict", max_size=1)
-        # tuple([...]) defeats CPython's per-code-object constant folding,
-        # which would otherwise make the two literals one object already.
-        first = interner.intern(tuple([1]))
-        interner.intern(tuple([2]))  # evicts (1,)
-        again = interner.intern(tuple([1]))
-        assert again is not first and again == first
-
-    def test_disabled_returns_value_unchanged(self, scratch_tables):
-        interner = scratch_tables(cache.Interner, "t.iOff")
-        with cache.disabled():
-            value = (1, 2)
-            assert interner.intern(value) is value
-        assert (interner.hits, interner.misses) == (0, 0)
+        A ``functools`` cache is invisible to ``clear_caches``,
+        ``isolated``, ``disabled`` and the ``cache.*`` counters, and
+        an unbounded one grows for the life of a server.
+        """
+        banned = {"lru_cache", "cache"}
+        offenders = []
+        for path in sorted(SRC.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                    names = {alias.name for alias in node.names}
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "functools"
+                ):
+                    names = {node.attr}
+                else:
+                    continue
+                for name in sorted(names & banned):
+                    rel = path.relative_to(SRC.parent)
+                    offenders.append(f"{rel}:{node.lineno}: functools.{name}")
+        assert not offenders, offenders
 
 
 class TestRegistryAndCounters:

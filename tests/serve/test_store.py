@@ -399,3 +399,32 @@ class TestTornWrites:
                 else:
                     expected.remove(entry["session_id"])
             assert [r.session_id for r in reader.records()] == expected, cut
+
+
+class TestRefusedTarget:
+    @pytest.mark.parametrize("target", ["x y", "", "x\nroute-map y"])
+    def test_error_reply_then_restore(self, tmp_path, target, stores):
+        root = str(tmp_path / "store")
+        manager = SessionManager(session_store=stores(root))
+        manager.open("alice", CAMPUS_CONFIG)
+        with ClarifyService(manager, workers=1) as service:
+            refused = service.call(
+                ServeRequest("alice", "deny routes to 10.0.0.0/8", target)
+            )
+            applied = service.call(
+                ServeRequest("alice", "deny routes to 10.0.0.0/8", "ISP_OUT")
+            )
+        assert refused.outcome == "error"
+        assert refused.detail.startswith("ClarifyError: target must be one word")
+        assert refused.llm_calls == 0
+        assert applied.outcome == "applied"
+        assert applied.seq == refused.seq + 1
+
+        fresh = SessionManager(session_store=stores(root))
+        assert fresh.restore_all() == ["alice"]
+        rebuilt = fresh.get("alice")
+        assert rebuilt.completed == 2
+        assert rebuilt.config_sha256() == manager.get("alice").config_sha256()
+        for live in (refused, applied):
+            replayed = rebuilt.replayed_response(live.seq)
+            assert replayed.outcome_key() == live.outcome_key()

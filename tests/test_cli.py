@@ -111,6 +111,18 @@ class TestAdd:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["x y", "", "x\ny"])
+    def test_target_that_does_not_round_trip_is_refused(
+        self, config_file, target, capsys
+    ):
+        code = main(
+            ["add", PAPER_INTENT, "--config", config_file, "--target", target]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "target must be one word" in captured.err
+        assert captured.out == ""
+
 
 class TestOverlaps:
     def test_overlap_report(self, config_file, capsys):
@@ -344,6 +356,23 @@ class TestListAdd:
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_target_that_does_not_round_trip_is_refused(self, capsys):
+        code = main(
+            [
+                "list-add",
+                "--target",
+                "x y",
+                "--action",
+                "permit",
+                "--prefix",
+                "10.1.2.0/24",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "target must be one word" in captured.err
+        assert captured.out == ""
 
 
 class TestTrace:

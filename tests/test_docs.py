@@ -354,6 +354,24 @@ def test_performance_doc_covers_perf_layer():
         assert needle in text, f"PERFORMANCE.md does not mention {needle}"
 
 
+def test_performance_doc_table_names_every_cache_table():
+    """The table of ``repro.perf.cache`` tables is exactly the registry."""
+    from repro.perf import cache_stats
+
+    for module in (
+        "repro.netaddr.intervals",
+        "repro.analysis.headerspace",
+        "repro.analysis.routespace",
+        "repro.lint.netwide.spaces",
+    ):
+        importlib.import_module(module)
+    text = (REPO_ROOT / "docs" / "PERFORMANCE.md").read_text()
+    table = text.split("| table | holds | for |\n|---|---|---|\n", 1)[1]
+    rows = table.split("\n\n", 1)[0].splitlines()
+    documented = [re.match(r"\| `([\w.]+)` \|", row).group(1) for row in rows]
+    assert sorted(documented) == sorted(cache_stats())
+
+
 def test_llm_backends_doc_covers_the_tier():
     text = (REPO_ROOT / "docs" / "LLM_BACKENDS.md").read_text()
     for needle in (
