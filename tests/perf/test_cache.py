@@ -34,37 +34,15 @@ def scratch_tables():
         cache._REGISTRY.remove(table)
 
 
-#: The two ways the engines call ``lookup``: with a computed result, and
-#: with the key as its own result (interning, the hash-cons tables).
-#: The tests below run each case on both.
-RESULTS = {
-    "computed": lambda key: ("result",) + key,
-    "interned": lambda key: key,
-}
-
-
 class TestMemo:
-    # Keys are built with tuple([...]): that defeats CPython's
-    # per-code-object constant folding, which would otherwise make two
-    # equal literals one object already.
-
     def test_miss_then_hit(self, scratch_tables):
-        for kind, result_of in RESULTS.items():
-            memo = scratch_tables(cache.Memo, f"t.memo.{kind}")
-            calls = []
-
-            def lookup(key):
-                return memo.lookup(key, lambda: calls.append(1) or result_of(key))
-
-            key = tuple([1, 2, 3])
-            first = lookup(key)
-            second = lookup(tuple([1, 2, 3]))
-            assert second is first, f"{kind}: equal keys share one result"
-            assert first == result_of(key)
-            assert len(calls) == 1
-            assert (memo.hits, memo.misses) == (1, 1)
-            # Interned, equal values collapse to the first one seen.
-            assert (first is key) == (kind == "interned")
+        memo = scratch_tables(cache.Memo, "t.memo")
+        calls = []
+        compute = lambda: calls.append(1) or "value"  # noqa: E731
+        assert memo.lookup("k", compute) == "value"
+        assert memo.lookup("k", compute) == "value"
+        assert len(calls) == 1
+        assert (memo.hits, memo.misses) == (1, 1)
 
     def test_none_results_are_cached(self, scratch_tables):
         memo = scratch_tables(cache.Memo, "t.none")
@@ -74,29 +52,22 @@ class TestMemo:
         assert len(calls) == 1
 
     def test_oldest_first_eviction(self, scratch_tables):
-        for kind, result_of in RESULTS.items():
-            memo = scratch_tables(cache.Memo, f"t.evict.{kind}", max_size=2)
-            calls = []
+        memo = scratch_tables(cache.Memo, "t.evict", max_size=2)
+        calls = []
 
-            def lookup(key):
-                return memo.lookup(
-                    key, lambda: calls.append(key) or result_of(key)
-                )
+        def lookup(key):
+            return memo.lookup(key, lambda: calls.append(key) or key.upper())
 
-            first = lookup(tuple(["a"]))
-            lookup(tuple(["b"]))
-            assert lookup(tuple(["a"])) is first  # a hit does not refresh "a"
-            lookup(tuple(["c"]))  # evicts "a", the oldest insertion
-            assert len(memo) == 2
-            assert calls == [("a",), ("b",), ("c",)], kind
-            again = lookup(tuple(["a"]))
-            assert calls[-1] == ("a",), f"{kind}: evicted key must recompute"
-            # An evicted result loses its canonical status: the
-            # recomputed one is equal but a new object (for an interned
-            # value, a new equivalence class).
-            assert again is not first and again == first
-            lookup(tuple(["c"]))
-            assert len(calls) == 4, f"{kind}: the newest key was evicted"
+        lookup("a")
+        lookup("b")
+        assert lookup("a") == "A"  # a hit does not refresh "a"
+        lookup("c")  # evicts "a", the oldest insertion
+        assert len(memo) == 2
+        assert calls == ["a", "b", "c"]
+        lookup("a")
+        assert calls[-1] == "a", "evicted key must recompute"
+        lookup("c")
+        assert len(calls) == 4, "the newest key was evicted"
 
     def test_clear_preserves_totals(self, scratch_tables):
         memo = scratch_tables(cache.Memo, "t.clear")
@@ -107,23 +78,53 @@ class TestMemo:
         assert (memo.hits, memo.misses) == (1, 1)
 
     def test_disabled_bypasses_and_counts_nothing(self, scratch_tables):
-        for kind, result_of in RESULTS.items():
-            memo = scratch_tables(cache.Memo, f"t.off.{kind}")
-            memo.lookup(tuple([1, 2]), lambda: result_of((1, 2)))
-            calls = []
+        memo = scratch_tables(cache.Memo, "t.off")
+        calls = []
+        with cache.disabled():
+            assert not cache.enabled()
+            memo.lookup("k", lambda: calls.append(1) or "v")
+            memo.lookup("k", lambda: calls.append(1) or "v")
+        assert cache.enabled()
+        assert len(calls) == 2
+        assert (memo.hits, memo.misses) == (0, 0)
+        assert len(memo) == 0  # cleared on exit
 
-            def lookup(key):
-                return memo.lookup(key, lambda: calls.append(1) or result_of(key))
 
-            with cache.disabled():
-                assert not cache.enabled()
-                first = lookup(tuple([1, 2]))
-                second = lookup(tuple([1, 2]))
-            assert cache.enabled()
-            assert len(calls) == 2, kind
-            assert second is not first and second == first
-            assert (memo.hits, memo.misses) == (0, 1)
-            assert len(memo) == 0  # cleared on exit
+class TestInterner:
+    """A :class:`cache.Memo` whose value is its own result interns.
+
+    That is how ``intervals.sets``, ``headerspace.regions`` and
+    ``routespace.regions`` hash-cons.  Values are built with
+    ``tuple([...])``: that defeats CPython's per-code-object constant
+    folding, which would otherwise make two equal literals one object
+    already.
+    """
+
+    @staticmethod
+    def intern(memo, value):
+        return memo.lookup(value, lambda: value)
+
+    def test_equal_values_collapse_to_one_object(self, scratch_tables):
+        memo = scratch_tables(cache.Memo, "t.intern")
+        first = self.intern(memo, tuple([1, 2, 3]))
+        second = self.intern(memo, tuple([1, 2, 3]))
+        assert second is first
+        assert (memo.hits, memo.misses) == (1, 1)
+
+    def test_eviction_starts_a_new_equivalence_class(self, scratch_tables):
+        memo = scratch_tables(cache.Memo, "t.iEvict", max_size=1)
+        first = self.intern(memo, tuple([1]))
+        self.intern(memo, tuple([2]))  # evicts (1,)
+        again = self.intern(memo, tuple([1]))
+        assert again is not first and again == first
+
+    def test_disabled_returns_value_unchanged(self, scratch_tables):
+        memo = scratch_tables(cache.Memo, "t.iOff")
+        self.intern(memo, tuple([1, 2]))
+        with cache.disabled():
+            value = tuple([1, 2])
+            assert self.intern(memo, value) is value
+        assert (memo.hits, memo.misses) == (0, 1)
 
 
 class TestOneMechanism:
